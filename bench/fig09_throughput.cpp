@@ -54,11 +54,9 @@ double raw_socket_mbps(std::size_t msg_size, std::size_t total_bytes) {
   return mbps(received, sw.elapsed_ms());
 }
 
-/// NapletSocket pump over the same loopback. `reactor` moves the
-/// controllers onto the epoll/timer-wheel loop (DESIGN.md §15).
-double naplet_mbps(std::size_t msg_size, std::size_t total_bytes,
-                   bool reactor) {
-  BenchRealm realm(2, /*security=*/true, crypto::DhGroup::kModp2048, reactor);
+/// NapletSocket pump over the same loopback.
+double naplet_mbps(std::size_t msg_size, std::size_t total_bytes) {
+  BenchRealm realm(2, /*security=*/true, crypto::DhGroup::kModp2048);
   auto alice = realm.pseudo_agent("alice", 0);
   auto bob = realm.pseudo_agent("bob", 1);
   if (!realm.ctrl(1).listen(bob).ok()) std::abort();
@@ -202,10 +200,8 @@ constexpr SmallMsgBaseline kSeedSmallMsg[] = {
 int main(int argc, char** argv) {
   using namespace naplet::bench;
 
-  const bool reactor = has_flag(argc, argv, "--reactor");
   std::printf("Figure 9 reproduction: throughput vs message size, "
-              "NapletSocket vs raw socket (TTCP-style pump, %s mode)\n",
-              reactor ? "reactor" : "threaded");
+              "NapletSocket vs raw socket (TTCP-style pump)\n");
   std::printf("Paper finding: NapletSocket within ~5%% of the raw socket, "
               "converging as messages grow\n");
 
@@ -225,7 +221,7 @@ int main(int argc, char** argv) {
     double raw = 0, naplet = 0;
     for (int r = 0; r < repeats; ++r) {
       raw = std::max(raw, raw_socket_mbps(size, budget));
-      naplet = std::max(naplet, naplet_mbps(size, budget, reactor));
+      naplet = std::max(naplet, naplet_mbps(size, budget));
     }
     last_ratio = naplet / raw;
     print_row({std::to_string(size), fmt(raw, 1), fmt(naplet, 1),
@@ -323,7 +319,6 @@ int main(int argc, char** argv) {
         "BENCH_fig09.json",
         JsonObject()
             .field("bench", std::string("fig09_throughput"))
-            .field("mode", std::string(reactor ? "reactor" : "threaded"))
             .raw("figure9", json_array(fig_points))
             .raw("small_message_sim", json_array(small_points))
             .raw("rudp_wan", json_array(wan_points))

@@ -1,6 +1,6 @@
 // Fleet churn at scale: 10k+ concurrent NapletSocket sessions on one
 // controller under continuous connect / migrate / close churn — the load
-// the event-driven reactor core (DESIGN.md §15) exists to carry.
+// the sharded session table (DESIGN.md §15) exists to carry.
 //
 // The paper's testbed opens one connection at a time; a controller in a
 // fleet terminates thousands. This bench ramps a single client-side
@@ -17,8 +17,6 @@
 //   memory_per_session_bytes   RSS delta across the ramp / endpoints
 //   shards n/max/mean          session-table shard spread sanity
 //
-// Default mode runs the reactor (sharded tables + epoll/timer-wheel loop);
-// --threaded falls back to the per-session thread pattern for an A/B.
 // NAPLET_BENCH_FAST shrinks the ramp for the CI smoke; --json writes
 // BENCH_fleet_churn.json.
 #include <unistd.h>
@@ -62,15 +60,13 @@ struct ChurnResult {
   obs::Snapshot metrics;  // hot-node registry (suspend histogram)
 };
 
-ChurnResult run(bool reactor, int target_sessions, int churn_ops,
-                int workers) {
+ChurnResult run(int target_sessions, int churn_ops, int workers) {
   net::SimNet net(/*seed=*/7);
   nsock::Realm realm;
   for (int i = 0; i <= kServerNodes; ++i) {
     const std::string name = "node" + std::to_string(i);
     nsock::NodeConfig config;
     config.controller.security = false;
-    config.controller.reactor.enabled = reactor;
     realm.add_node(name, net.add_node(name), config);
   }
   if (!realm.start().ok()) std::abort();
@@ -219,17 +215,15 @@ int main(int argc, char** argv) {
   using namespace naplet::bench;
 
   const bool fast = fast_mode();
-  const bool reactor = !has_flag(argc, argv, "--threaded");
   const int target = fast ? 1024 : 10240;
   const int churn_ops = fast ? 2048 : 20480;
   const int workers = 8;
 
   std::printf("Fleet churn: %d concurrent sessions on one controller, "
-              "%d churn ops, %d workers (%s mode, Sim backend)\n",
-              target, churn_ops, workers,
-              reactor ? "reactor" : "threaded");
+              "%d churn ops, %d workers (Sim backend)\n",
+              target, churn_ops, workers);
 
-  const ChurnResult r = run(reactor, target, churn_ops, workers);
+  const ChurnResult r = run(target, churn_ops, workers);
 
   const double p50 = hist_p(r.metrics, "nsock_suspend_latency_us", 50.0);
   const double p95 = hist_p(r.metrics, "nsock_suspend_latency_us", 95.0);
@@ -286,7 +280,6 @@ int main(int argc, char** argv) {
         .field("mean", shard_mean);
     JsonObject root;
     root.field("bench", std::string("fleet_churn"))
-        .field("mode", std::string(reactor ? "reactor" : "threaded"))
         .field("target_sessions", static_cast<std::uint64_t>(target))
         .field("concurrent_sessions",
                static_cast<std::uint64_t>(r.concurrent_sessions))

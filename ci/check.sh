@@ -17,10 +17,7 @@
 #                                       ratios shape-checked)
 #      + group-suspend bench smoke     (fast-mode JSON: makespan + per-phase
 #                                       percentiles for 1/8/64-member agents)
-#      + explicit `ctest -L reactor`   (timer wheel, reactor dispatch, the
-#                                       sharded session table, wakeup
-#                                       regressions)
-#      + fleet-churn bench smoke       (fast-mode JSON: reactor controller
+#      + fleet-churn bench smoke       (fast-mode JSON: one controller
 #                                       under connect/migrate/close churn)
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
@@ -31,11 +28,9 @@
 #      + `ctest -L net`              (the rudp transport under TSan)
 #      + `ctest -L swarm`            (swarm pipeline + smoke under TSan)
 #      + `ctest -L group`            (group barrier + sweep under TSan)
-#      + `ctest -L reactor`          (reactor core + sharded table under TSan)
 #   4. naplet-analyze gate            (lock-order graph, annotation
 #      coverage, invariant registries; registry_check is dependency-free
-#      and always runs, the optional libTooling cross-check only when the
-#      Clang dev libraries were found at configure time)
+#      and always runs)
 #   5. run-clang-tidy over src/, tools/, bench/
 #                                     (bugprone / concurrency / performance)
 #   6. clang-format --dry-run         (check-only; no reformatting)
@@ -95,9 +90,6 @@ done
 
 note "group-suspend suite (ctest -L group, Debug)"
 ctest --test-dir build-debug -L group --output-on-failure -j "$JOBS"
-
-note "reactor suite (ctest -L reactor, Debug)"
-ctest --test-dir build-debug -L reactor --output-on-failure -j "$JOBS"
 
 note "loss-sweep bench smoke (fast mode, JSON parsed)"
 if command -v python3 >/dev/null 2>&1; then
@@ -178,7 +170,7 @@ else
   skip "python3 not installed (group-suspend JSON parse)"
 fi
 
-note "fleet-churn bench smoke (fast mode, reactor controller at scale)"
+note "fleet-churn bench smoke (fast mode, one controller at scale)"
 # The binary shape-checks itself (ramp reaches the target concurrent
 # session count, every churn op lands, suspend histogram populated, shard
 # spread sane) and exits nonzero on any miss; the JSON parse confirms the
@@ -189,7 +181,6 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
-assert data["mode"] == "reactor", "smoke must exercise reactor mode"
 assert data["concurrent_sessions"] >= data["target_sessions"], "ramp fell short"
 assert data["ramp_sessions_per_sec"] > 0, "ramp rate missing"
 assert data["churn_ops_per_sec"] > 0, "churn rate missing"
@@ -225,7 +216,6 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   ctest --test-dir build-tsan -L obs --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L swarm --output-on-failure -j "$JOBS"
   ctest --test-dir build-tsan -L group --output-on-failure -j "$JOBS"
-  ctest --test-dir build-tsan -L reactor --output-on-failure -j "$JOBS"
   # The `net` test has no per-test TSAN env property (it also runs in
   # non-TSan builds), so supply the suppressions here.
   NAPLET_TSAN_LIGHT=1 \
@@ -243,14 +233,6 @@ note "static analysis gate (naplet-analyze: lock order, annotations, registries)
 ./build-debug/tools/analyze/naplet-analyze \
   --root . --compdb build-debug/compile_commands.json \
   --baseline tools/analyze/baseline.txt --compact
-# The optional libTooling cross-check rides along when the Clang dev
-# libraries were found at configure time (-DNAPLET_ANALYZE_WITH_CLANG=ON).
-if [ -x build-debug/tools/analyze/naplet-analyze-clang ]; then
-  ./build-debug/tools/analyze/naplet-analyze-clang \
-    -p build-debug src/*/*.cpp >/dev/null || exit 1
-else
-  skip "naplet-analyze-clang not built (Clang dev libraries absent)"
-fi
 
 note "clang-tidy (bugprone, concurrency, performance; src+tools+bench)"
 if command -v run-clang-tidy >/dev/null 2>&1; then

@@ -20,10 +20,6 @@
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace naplet::reactor {
-class Reactor;
-}  // namespace naplet::reactor
-
 namespace naplet::nsock {
 
 /// Crash-recovery extension: redirector entries become leases. The owning
@@ -71,12 +67,6 @@ class Redirector {
     batch_handler_ = std::move(handler);
   }
 
-  /// Serve lease eviction from a repeating reactor timer instead of
-  /// piggybacking on the 200ms accept tick (DESIGN.md §15). Call before
-  /// start(); the owner must stop() this redirector BEFORE stopping the
-  /// reactor (stop cancels the sweep timer).
-  void attach_reactor(reactor::Reactor* r) { reactor_ = r; }
-
   [[nodiscard]] net::Endpoint endpoint() const;
 
   /// Handoffs whose first frame was malformed (observability).
@@ -115,10 +105,6 @@ class Redirector {
  private:
   void accept_loop();
   void reap_handlers(bool all);
-  /// Schedule (or re-schedule) the reactor lease sweep; no-op once
-  /// stopped. Runs on the reactor loop.
-  void arm_sweep_timer();
-  void on_sweep_timer();
 
   void serve_batch(const std::shared_ptr<net::Stream>& stream,
                    const BatchHandoffMsg& batch);
@@ -137,14 +123,9 @@ class Redirector {
   net::ListenerPtr listener_ NAPLET_NOT_GUARDED(
       "created in start() before the acceptor thread; Listener is "
       "internally synchronized");
-  reactor::Reactor* reactor_ NAPLET_NOT_GUARDED(
-      "set before start(), immutable while running") = nullptr;
   std::thread acceptor_;
   util::Mutex handlers_mu_{util::LockRank::kRedirector, "redirector"};
   std::vector<std::thread> handlers_ NAPLET_GUARDED_BY(handlers_mu_);
-  /// Live sweep-timer id (reactor::TimerId); 0 when unarmed. Guarded by
-  /// handlers_mu_ so stop() and the re-arming callback serialize.
-  std::uint64_t sweep_timer_ NAPLET_GUARDED_BY(handlers_mu_) = 0;
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> bad_handoffs_{0};
   std::atomic<std::uint64_t> batch_exchanges_{0};

@@ -1,4 +1,4 @@
-// SessionShardMap: the controller's N-way sharded session table
+// SessionShardMap: the controller's 16-way sharded session table
 // (DESIGN.md §15). The monolithic sessions_ map under the controller
 // mutex serialized every lookup on the control hot path; at 10k+
 // concurrent sessions the single lock is the bottleneck. Sharding by
@@ -37,16 +37,14 @@ namespace naplet::nsock {
 
 class SessionShardMap {
  public:
-  /// `shards` is rounded up to a power of two (minimum 1) so shard
-  /// selection is a mask, not a division.
-  explicit SessionShardMap(int shards = 16) {
-    std::size_t n = 1;
-    while (n < static_cast<std::size_t>(std::max(1, shards))) n <<= 1;
-    shards_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+  /// A power of two, so shard selection is a mask, not a division.
+  static constexpr std::size_t kShards = 16;
+
+  SessionShardMap() {
+    shards_.reserve(kShards);
+    for (std::size_t i = 0; i < kShards; ++i) {
       shards_.push_back(std::make_unique<Shard>());
     }
-    mask_ = n - 1;
   }
 
   SessionShardMap(const SessionShardMap&) = delete;
@@ -169,8 +167,6 @@ class SessionShardMap {
     return n;
   }
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
   /// Per-shard occupancy (stats / bench: hash spread sanity).
   [[nodiscard]] std::vector<std::size_t> shard_sizes() const {
     std::vector<std::size_t> out;
@@ -197,7 +193,7 @@ class SessionShardMap {
     // conn_ids are crypto-random (or dense small integers in tests): fold
     // the high bits in so both distributions spread.
     const std::uint64_t h = conn_id ^ (conn_id >> 17) ^ (conn_id >> 41);
-    return *shards_[static_cast<std::size_t>(h) & mask_];
+    return *shards_[static_cast<std::size_t>(h) & (kShards - 1)];
   }
 
   static std::vector<SessionPtr> sorted_values(
@@ -211,7 +207,6 @@ class SessionShardMap {
   }
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t mask_ = 0;
 };
 
 }  // namespace naplet::nsock

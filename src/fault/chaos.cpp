@@ -1,5 +1,7 @@
 #include "fault/chaos.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <sstream>
@@ -280,6 +282,34 @@ ChaosCase make_group_case(std::uint64_t seed, Scenario scenario, bool light) {
 
 namespace {
 
+/// Journal directory of one crash case, private to this process and
+/// removed when the case ends. ctest runs the recovery suite and the
+/// crash smokes (same seeds, same scenarios) in parallel; a shared path
+/// let one run wipe another's journal in the middle of its restart.
+class JournalDir {
+ public:
+  explicit JournalDir(const ChaosCase& chaos_case)
+      : path_((std::filesystem::temp_directory_path() /
+               ("naplet-chaos-" + std::to_string(chaos_case.seed) + "-" +
+                std::string(to_string(chaos_case.scenario)) + "-" +
+                std::to_string(::getpid())))
+                  .string()) {
+    remove();
+  }
+  ~JournalDir() { remove(); }
+  JournalDir(const JournalDir&) = delete;
+  JournalDir& operator=(const JournalDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  void remove() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  std::string path_;
+};
+
 /// Node config for crash cases. A non-empty `durable_dir` gives the node a
 /// journal (only the to-be-crashed server host needs one); recovery-off
 /// cases get the paper's single-shot protocol with tight timeouts so the
@@ -343,13 +373,8 @@ ChaosResult run_crash_case(const ChaosCase& chaos_case) {
   Injector& injector = Injector::instance();
   injector.disarm();
 
-  const std::string durable_dir =
-      (std::filesystem::temp_directory_path() /
-       ("naplet-chaos-" + std::to_string(chaos_case.seed) + "-" +
-        std::string(to_string(chaos_case.scenario))))
-          .string();
-  std::error_code ec;
-  std::filesystem::remove_all(durable_dir, ec);
+  const JournalDir journal(chaos_case);
+  const std::string& durable_dir = journal.path();
 
   net::SimNet net(chaos_case.seed);
   net.set_default_link(net::LinkConfig{.latency = 1ms});
@@ -928,15 +953,8 @@ ChaosResult run_group_case(const ChaosCase& chaos_case) {
   injector.disarm();
 
   const bool crash = chaos_case.scenario == Scenario::kGroupCrashCommit;
-  std::string durable_dir;
-  if (crash) {
-    durable_dir = (std::filesystem::temp_directory_path() /
-                   ("naplet-chaos-" + std::to_string(chaos_case.seed) + "-" +
-                    std::string(to_string(chaos_case.scenario))))
-                      .string();
-    std::error_code ec;
-    std::filesystem::remove_all(durable_dir, ec);
-  }
+  const JournalDir journal(chaos_case);
+  const std::string durable_dir = crash ? journal.path() : std::string();
 
   net::SimNet net(chaos_case.seed);
   net.set_default_link(net::LinkConfig{.latency = 1ms});

@@ -11,9 +11,9 @@
 //  - fast retransmit on SACK gap evidence (a packet serially below a
 //    SACKed/cumulatively-ACKed seq is retransmitted after
 //    fast_retx_dupacks such ACKs, without waiting out its timer);
-//  - a pluggable loss-repair stage: none, packet duplication, or XOR-FEC
-//    parity over groups of fec_group packets so a single drop on a lossy
-//    link is repaired from parity without any timer at all.
+//  - an optional loss-repair stage: XOR-FEC parity over groups of
+//    fec_group packets so a single drop on a lossy link is repaired from
+//    parity without any timer at all.
 //
 // The blocking send()/recv() surface, the non-blocking max_wait contract,
 // duplicate suppression, and the close/abort wake guarantees are unchanged
@@ -34,16 +34,11 @@
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace naplet::reactor {
-class Reactor;
-}  // namespace naplet::reactor
-
 namespace naplet::net {
 
 /// Loss-repair stage applied on top of retransmission.
 enum class LossRepair : std::uint8_t {
   kNone = 0,    ///< retransmit timers / fast retransmit only
-  kPacketDup,   ///< send every data packet twice back-to-back
   kXorFec,      ///< XOR parity over groups of fec_group packets
 };
 
@@ -146,21 +141,6 @@ class ReliableChannel {
   [[nodiscard]] Endpoint local_endpoint() const;
 
   void close();
-
-  /// Reactor mode (DESIGN.md §15): retire this channel's two blocking
-  /// background threads and serve their work from `r`'s event loop —
-  /// readiness-driven receive (epoll on real sockets, delivery callbacks
-  /// on SimNet) and timer-wheel retransmit/FEC-flush scans that fire only
-  /// when a deadline is actually due. The blocking send()/recv() surface
-  /// is unchanged. Joins the legacy threads, so it may block briefly
-  /// (≤ one receive poll slice). Idempotent; no-op on a closed channel.
-  void attach_reactor(reactor::Reactor* r);
-
-  /// Undo attach_reactor: cancel wheel timers, unregister from the loop,
-  /// and quiesce (no event-loop activity for this channel after return).
-  /// MUST run before the reactor stops. The legacy threads are not
-  /// restarted — detach is a teardown step; close() calls it implicitly.
-  void detach_reactor();
 
   // Observability for tests/benches.
   [[nodiscard]] std::uint64_t retransmissions() const {
@@ -282,13 +262,6 @@ class ReliableChannel {
   /// frames under mu_, transmits them unlocked, and returns the earliest
   /// next deadline — nullopt when nothing is in flight.
   std::optional<TimePoint> retx_pass();
-  /// Reactor-mode receive: drain every deliverable datagram (non-blocking)
-  /// and re-arm the SimNet future-delivery poke if one is queued.
-  void on_socket_ready();
-  /// Reactor-mode: (re)arm the wheel retransmit timer if `next` is sooner
-  /// than the currently armed deadline. No-op when detached.
-  void arm_retx_timer(TimePoint next);
-  void on_retx_timer();
   void handle_packet(const Endpoint& from, util::ByteSpan data);
   void handle_ack(const Endpoint& from, const wire::Packet& packet);
   void handle_data(const Endpoint& from, wire::Packet packet);
@@ -346,17 +319,6 @@ class ReliableChannel {
   std::atomic<obs::Counter*> sack_counter_{nullptr};
   std::atomic<obs::Counter*> fast_retx_counter_{nullptr};
   std::atomic<obs::Counter*> fec_counter_{nullptr};
-
-  // --- reactor mode ---
-  /// EventHandler glue + armed-timer bookkeeping; allocated by
-  /// attach_reactor, freed by detach_reactor after the loop quiesces.
-  struct ReactorState;
-  std::unique_ptr<ReactorState> reactor_state_ NAPLET_GUARDED_BY(mu_);
-  /// Flips once at attach; tells the legacy threads to exit.
-  std::atomic<bool> reactor_mode_{false};
-  /// Set (under mu_) at the start of detach so in-flight callbacks stop
-  /// re-arming wheel timers the detach would miss.
-  bool reactor_detached_ NAPLET_GUARDED_BY(mu_) = false;
 
   std::thread timer_;     // constructed after all state, joined in dtor
   std::thread receiver_;  // constructed last, joined in destructor

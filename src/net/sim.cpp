@@ -294,12 +294,6 @@ struct SimNet::Impl {
     util::CondVar cv;
     std::multimap<std::int64_t, Datagram::Packet> inbox NAPLET_GUARDED_BY(mu);
     bool closed NAPLET_GUARDED_BY(mu) = false;
-    // Reactor readiness hook (Datagram::set_ready_callback): invoked by
-    // senders WHILE HOLDING mu, so set_ready_callback(nullptr) fully
-    // synchronizes uninstallation (no sender can still be about to call a
-    // stale callback). The callback may therefore only take locks ranked
-    // above kSimPipe — Reactor::notify (kReactor) qualifies.
-    std::function<void()> ready_cb NAPLET_GUARDED_BY(mu);
   };
   std::map<std::pair<std::string, std::uint16_t>, std::shared_ptr<DgramState>>
       dgrams NAPLET_GUARDED_BY(mu);
@@ -419,7 +413,6 @@ class SimDatagram final : public Datagram {
       peer->inbox.emplace(
           deliver, Packet{Endpoint{node_, port_},
                           util::Bytes(data.begin(), data.end())});
-      if (peer->ready_cb) peer->ready_cb();  // under mu: see DgramState
     }
     peer->cv.notify_all();  // `peer` keeps the state alive past any close()
     return util::OkStatus();
@@ -451,23 +444,11 @@ class SimDatagram final : public Datagram {
     return Endpoint{node_, port_};
   }
 
-  void set_ready_callback(std::function<void()> cb) override {
-    util::MutexLock lock(state_->mu);
-    state_->ready_cb = std::move(cb);
-  }
-
-  [[nodiscard]] std::optional<std::int64_t> next_ready_us() const override {
-    util::MutexLock lock(state_->mu);
-    if (state_->closed || state_->inbox.empty()) return std::nullopt;
-    return state_->inbox.begin()->first;
-  }
-
   void close() override {
     {
       util::MutexLock lock(state_->mu);
       if (state_->closed) return;
       state_->closed = true;
-      state_->ready_cb = nullptr;
     }
     state_->cv.notify_all();
     util::MutexLock lock(impl_->mu);

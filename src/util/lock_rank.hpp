@@ -78,15 +78,6 @@ enum class LockRank : int {
   kSimFabric = 68,    ///< net::SimNet::Impl::mu
   kSimPipe = 70,      ///< sim Pipe / datagram inbox locks
 
-  // Reactor core: the event loop's registration lock and the timer wheel's
-  // slot lock are taken by code that may hold any lock above (a rudp
-  // channel re-arms its retransmit timer under kRudpChannel; SimNet's
-  // delivery path notifies the reactor under kSimPipe), and neither is
-  // ever held while calling out — timer callbacks fire with the wheel
-  // lock released.
-  kReactor = 84,       ///< reactor::Reactor::mu_ (handler/ready-list state)
-  kReactorTimer = 86,  ///< reactor::TimerWheel::mu_ (slot + cascade state)
-
   // The fault injector is consulted from control-plane code that may hold
   // any of the locks above (e.g. the FSM audit hook fires under the state
   // cell), so its registry lock sits just above the leaves.

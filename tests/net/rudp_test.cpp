@@ -403,33 +403,5 @@ TEST_F(RudpFaultTest, FastRetransmitOnSackGapEvidence) {
   }
 }
 
-TEST_F(RudpFaultTest, PacketDupRepairsSingleDrop) {
-  SimNet net(/*seed=*/41);
-  auto a = net.add_node("a");
-  auto b = net.add_node("b");
-
-  RudpConfig config;
-  config.retransmit_interval = 5s;
-  config.max_attempts = 3;
-  config.repair = LossRepair::kPacketDup;
-  auto ca = make_channel(*a, 7, config);
-  auto cb = make_channel(*b, 7, config);
-
-  // The fault site only sees the primary copy; the back-to-back duplicate
-  // still goes out, so the send completes with zero retransmissions.
-  auto plan = fault::Plan::parse("rudp.send@#1:drop");
-  ASSERT_TRUE(plan.ok());
-  fault::Injector::instance().arm(*plan);
-  const util::Bytes msg = {0x7E};
-  ASSERT_TRUE(
-      ca->send(Endpoint{"b", 7}, util::ByteSpan(msg.data(), msg.size())).ok());
-  fault::Injector::instance().disarm();
-
-  EXPECT_EQ(ca->retransmissions(), 0u);
-  auto got = cb->recv(1s);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload, msg);
-}
-
 }  // namespace
 }  // namespace naplet::net
