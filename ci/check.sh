@@ -3,6 +3,8 @@
 #
 #   1. Debug build + full ctest       (lock-rank validator active)
 #      + explicit `ctest -L net`       (rudp sliding-window/SACK/FEC suite)
+#      + explicit `ctest -L crypto`    (Montgomery limb arithmetic, DH known
+#                                       answers, HMAC, SHA-256)
 #      + explicit `ctest -L swarm`     (batch scheduler, drain sweeps,
 #                                       caching location tier)
 #      + fixed-seed chaos_runner smoke (25 replayable fault schedules)
@@ -21,6 +23,7 @@
 #                                       under connect/migrate/close churn)
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
+#      + explicit `ctest -L crypto`
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep)
 #      + `ctest -L faults`            (fault-injection suite under TSan)
 #      + `ctest -L recovery`          (crash-restart recovery under TSan)
@@ -67,6 +70,9 @@ ctest --test-dir build-debug --output-on-failure -j "$JOBS"
 
 note "rudp transport suite (ctest -L net, Debug)"
 ctest --test-dir build-debug -L net --output-on-failure -j "$JOBS"
+
+note "crypto suite (ctest -L crypto, Debug)"
+ctest --test-dir build-debug -L crypto --output-on-failure -j "$JOBS"
 
 note "swarm migration suite (ctest -L swarm, Debug)"
 ctest --test-dir build-debug -L swarm --output-on-failure -j "$JOBS"
@@ -202,6 +208,8 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
   note "rudp transport suite (ctest -L net, ASan+UBSan)"
   ctest --test-dir build-sanitize -L net --output-on-failure -j "$JOBS"
+  note "crypto suite (ctest -L crypto, ASan+UBSan)"
+  ctest --test-dir build-sanitize -L crypto --output-on-failure -j "$JOBS"
 else
   skip "--skip-sanitize"
 fi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 namespace naplet::crypto {
 
@@ -347,26 +348,241 @@ util::StatusOr<BigUint> BigUint::mul_mod(const BigUint& other,
 
 util::StatusOr<BigUint> BigUint::pow_mod(const BigUint& exponent,
                                          const BigUint& m) const {
-  if (m.is_zero()) return util::InvalidArgument("pow_mod with zero modulus");
-  if (m.bit_length() == 1) return BigUint();  // mod 1 == 0
+  auto mont = MontModulus::make(m);
+  if (!mont.ok()) return mont.status();
+  return mont->pow(*this, exponent);
+}
 
-  auto base_or = mod(m);
-  if (!base_or.ok()) return base_or.status();
-  BigUint base = std::move(*base_or);
-  BigUint result(1);
+// ---------------------------------------------------------------------------
+// Montgomery arithmetic. Values in the Montgomery domain are x * R mod m with
+// R = 2^(64n); a product there is a * b * R^-1 mod m, which costs two n x n
+// limb products and no division.
 
-  // Left-to-right binary exponentiation.
-  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
-    auto sq = result.mul_mod(result, m);
-    if (!sq.ok()) return sq.status();
-    result = std::move(*sq);
-    if (exponent.bit(i)) {
-      auto mu = result.mul_mod(base, m);
-      if (!mu.ok()) return mu.status();
-      result = std::move(*mu);
+util::StatusOr<MontModulus> MontModulus::make(const BigUint& m) {
+  if (!m.is_odd()) {
+    return util::InvalidArgument("Montgomery modulus must be odd");
+  }
+  if (m.bit_length() > kMaxBits) {
+    return util::InvalidArgument("Montgomery modulus wider than " +
+                                 std::to_string(kMaxBits) + " bits");
+  }
+  MontModulus ctx;
+  ctx.modulus_ = m;
+  ctx.n_ = (m.bit_length() + 63) / 64;
+  ctx.load(m, ctx.m_);
+
+  // Newton's iteration for m[0]^-1 mod 2^64: an odd m0 is its own inverse
+  // mod 8 (3 correct bits), and each step doubles the correct bits.
+  std::uint64_t inv = ctx.m_[0];
+  for (int i = 0; i < 5; ++i) inv *= 2 - ctx.m_[0] * inv;
+  ctx.m_inv_ = 0 - inv;
+
+  auto r2 = BigUint(1).shift_left(128 * ctx.n_).mod(m);
+  if (!r2.ok()) return r2.status();
+  ctx.load(*r2, ctx.r2_);
+  Limbs unit{};
+  unit[0] = 1;
+  ctx.mul(ctx.one_, ctx.r2_, unit);  // R^2 * R^-1 = R mod m
+  return ctx;
+}
+
+void MontModulus::load(const BigUint& v, Limbs& out) const noexcept {
+  assert(v.limbs_.size() <= 2 * n_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    const std::uint64_t lo = 2 * k < v.limbs_.size() ? v.limbs_[2 * k] : 0;
+    const std::uint64_t hi =
+        2 * k + 1 < v.limbs_.size() ? v.limbs_[2 * k + 1] : 0;
+    out[k] = hi << 32 | lo;
+  }
+}
+
+BigUint MontModulus::store(const Limbs& v) const {
+  BigUint out;
+  out.limbs_.resize(2 * n_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    out.limbs_[2 * k] = static_cast<std::uint32_t>(v[k]);
+    out.limbs_[2 * k + 1] = static_cast<std::uint32_t>(v[k] >> 32);
+  }
+  out.normalize();
+  return out;
+}
+
+namespace {
+
+__extension__ using u128 = unsigned __int128;  // GCC/Clang 128-bit product
+
+std::uint64_t lo64(u128 v) noexcept { return static_cast<std::uint64_t>(v); }
+std::uint64_t hi64(u128 v) noexcept {
+  return static_cast<std::uint64_t>(v >> 64);
+}
+
+// r = t - m if top:t >= m, else t; t < 2m. r may be t itself.
+void reduce_once(std::uint64_t* r, const std::uint64_t* t, std::uint64_t top,
+                 const std::uint64_t* m, std::size_t n) noexcept {
+  bool subtract = top != 0;
+  if (!subtract) {
+    subtract = true;  // t == m also subtracts
+    for (std::size_t k = n; k-- > 0;) {
+      if (t[k] != m[k]) {
+        subtract = t[k] > m[k];
+        break;
+      }
     }
   }
-  return result;
+  if (!subtract) {
+    if (r != t) std::copy_n(t, n, r);
+    return;
+  }
+  std::uint64_t borrow = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const u128 d = static_cast<u128>(t[k]) - m[k] - borrow;
+    r[k] = lo64(d);
+    borrow = hi64(d) & 1;
+  }
+}
+
+}  // namespace
+
+void MontModulus::mul(Limbs& r, const Limbs& a,
+                      const Limbs& b) const noexcept {
+  // CIOS with the multiply and reduce passes fused: per limb of b,
+  // t = (t + a * b[i] + u * m) / 2^64 with u chosen to zero the low limb.
+  // t stays below 2m, so it fits n limbs plus one carry limb t[n].
+  const std::size_t n = n_;
+  std::uint64_t t[kMaxLimbs + 1] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t bi = b[i];
+    u128 p = static_cast<u128>(a[0]) * bi + t[0];
+    const std::uint64_t u = lo64(p) * m_inv_;
+    u128 q = static_cast<u128>(u) * m_[0] + lo64(p);
+    std::uint64_t carry_p = hi64(p);
+    std::uint64_t carry_q = hi64(q);
+    for (std::size_t j = 1; j < n; ++j) {
+      p = static_cast<u128>(a[j]) * bi + t[j] + carry_p;
+      carry_p = hi64(p);
+      q = static_cast<u128>(u) * m_[j] + lo64(p) + carry_q;
+      carry_q = hi64(q);
+      t[j - 1] = lo64(q);
+    }
+    const u128 s = static_cast<u128>(t[n]) + carry_p + carry_q;
+    t[n - 1] = lo64(s);
+    t[n] = hi64(s);
+  }
+  reduce_once(r.data(), t, t[n], m_.data(), n);
+}
+
+void MontModulus::sqr(Limbs& r, const Limbs& a) const noexcept {
+  const std::size_t n = n_;
+  std::uint64_t t[2 * kMaxLimbs] = {};
+
+  // Each cross product a[i] * a[j] (i < j) once...
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    std::uint64_t carry = 0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const u128 p = static_cast<u128>(a[i]) * a[j] + t[i + j] + carry;
+      t[i + j] = lo64(p);
+      carry = hi64(p);
+    }
+    t[i + n] = carry;
+  }
+  // ...doubled (the sum is below R^2 / 2, so no bit is shifted out)...
+  std::uint64_t carry = 0;
+  for (std::size_t k = 0; k < 2 * n; ++k) {
+    const std::uint64_t v = t[k];
+    t[k] = v << 1 | carry;
+    carry = v >> 63;
+  }
+  // ...plus the squares a[i]^2 on the diagonal.
+  carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u128 p = static_cast<u128>(a[i]) * a[i];
+    u128 s = static_cast<u128>(t[2 * i]) + lo64(p) + carry;
+    t[2 * i] = lo64(s);
+    s = static_cast<u128>(t[2 * i + 1]) + hi64(p) + hi64(s);
+    t[2 * i + 1] = lo64(s);
+    carry = hi64(s);
+  }
+
+  // Montgomery reduction of the 2n-limb square: add u * m * 2^(64i) to
+  // zero limb i, for each of the low n limbs. `top` carries into limb
+  // i + n + 1, which the next round adds in.
+  std::uint64_t top = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t u = t[i] * m_inv_;
+    carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const u128 p = static_cast<u128>(u) * m_[j] + t[i + j] + carry;
+      t[i + j] = lo64(p);
+      carry = hi64(p);
+    }
+    const u128 s = static_cast<u128>(t[i + n]) + carry + top;
+    t[i + n] = lo64(s);
+    top = hi64(s);
+  }
+  reduce_once(r.data(), t + n, top, m_.data(), n);
+}
+
+BigUint MontModulus::from_mont(const Limbs& a) const {
+  Limbs unit{};
+  unit[0] = 1;
+  Limbs out{};
+  mul(out, a, unit);
+  return store(out);
+}
+
+BigUint MontModulus::pow(const BigUint& base, const BigUint& exponent) const {
+  constexpr std::size_t kWindow = 4;
+  Limbs b{};
+  if (base >= modulus_) {
+    load(*base.mod(modulus_), b);
+  } else {
+    load(base, b);
+  }
+
+  // table[d] = base^d in the Montgomery domain, for every 4-bit digit d.
+  std::array<Limbs, std::size_t{1} << kWindow> table{};
+  table[0] = one_;
+  mul(table[1], b, r2_);
+  for (std::size_t d = 2; d < table.size(); ++d) {
+    mul(table[d], table[d - 1], table[1]);
+  }
+
+  // Left to right over fixed 4-bit digits of the exponent.
+  Limbs acc = one_;
+  bool first = true;
+  for (std::size_t w = (exponent.bit_length() + kWindow - 1) / kWindow;
+       w-- > 0;) {
+    std::size_t digit = 0;
+    for (std::size_t k = kWindow; k-- > 0;) {
+      digit = digit << 1 | (exponent.bit(w * kWindow + k) ? 1 : 0);
+    }
+    if (first) {
+      acc = table[digit];
+      first = false;
+      continue;
+    }
+    for (std::size_t k = 0; k < kWindow; ++k) sqr(acc, acc);
+    if (digit != 0) mul(acc, acc, table[digit]);
+  }
+  return from_mont(acc);
+}
+
+BigUint MontModulus::pow2(const BigUint& exponent) const {
+  const std::size_t n = n_;
+  Limbs acc = one_;
+  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+    sqr(acc, acc);
+    if (!exponent.bit(i)) continue;
+    // acc = 2 * acc mod m: shift one bit, subtract m if it overflowed m.
+    std::uint64_t carry = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint64_t v = acc[k];
+      acc[k] = v << 1 | carry;
+      carry = v >> 63;
+    }
+    reduce_once(acc.data(), acc.data(), carry, m_.data(), n);
+  }
+  return from_mont(acc);
 }
 
 }  // namespace naplet::crypto

@@ -37,7 +37,9 @@ constexpr const char* kPrime2048 =
 DhParams make_params(const char* prime_hex, std::size_t key_bytes) {
   auto prime = BigUint::from_hex(prime_hex);
   assert(prime.ok());
-  return DhParams{std::move(*prime), BigUint(2), key_bytes};
+  auto mont = MontModulus::make(*prime);
+  assert(mont.ok());
+  return DhParams{std::move(*prime), BigUint(2), key_bytes, std::move(*mont)};
 }
 
 }  // namespace
@@ -63,10 +65,11 @@ util::StatusOr<DhKeyPair> DhKeyPair::generate(DhGroup group) {
     priv = BigUint::from_bytes(random_bytes(32));
   } while (priv.bit_length() < 128);  // reject pathologically small draws
 
-  auto pub = params.generator.pow_mod(priv, params.prime);
-  if (!pub.ok()) return pub.status();
-
-  return DhKeyPair(group, std::move(priv), pub->to_bytes(params.key_bytes));
+  // Every group's generator is 2, so the exponentiation doubles instead of
+  // multiplying by the base.
+  assert(params.generator == BigUint(2));
+  const BigUint pub = params.mont.pow2(priv);
+  return DhKeyPair(group, std::move(priv), pub.to_bytes(params.key_bytes));
 }
 
 util::StatusOr<Sha256Digest> DhKeyPair::session_key(
@@ -80,11 +83,10 @@ util::StatusOr<Sha256Digest> DhKeyPair::session_key(
     return util::InvalidArgument("degenerate DH public value");
   }
 
-  auto shared = peer.pow_mod(private_key_, params.prime);
-  if (!shared.ok()) return shared.status();
+  const BigUint shared = params.mont.pow(peer, private_key_);
 
   Sha256 hasher;
-  const util::Bytes secret = shared->to_bytes(params.key_bytes);
+  const util::Bytes secret = shared.to_bytes(params.key_bytes);
   hasher.update(util::ByteSpan(secret.data(), secret.size()));
   hasher.update(std::string_view("naplet-session-v1"));
   return hasher.finish();

@@ -28,6 +28,8 @@ struct DhParams {
   BigUint prime;
   BigUint generator;
   std::size_t key_bytes;  // size of the wire encoding of public values
+  /// Montgomery context of `prime`, built once with the group.
+  MontModulus mont;
 
   static const DhParams& get(DhGroup group);
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.hpp"
 
 namespace naplet::crypto {
@@ -197,6 +199,118 @@ TEST(BigUint, PowModFermatLittleTheorem) {
 
 TEST(BigUint, PowModZeroModulusRejected) {
   EXPECT_FALSE(BigUint(2).pow_mod(BigUint(10), BigUint()).ok());
+}
+
+TEST(BigUint, PowModEvenModulusRejected) {
+  // Montgomery reduction needs an odd modulus.
+  for (std::uint64_t m : {2ULL, 10ULL, 1ULL << 40}) {
+    auto r = BigUint(3).pow_mod(BigUint(5), BigUint(m));
+    ASSERT_FALSE(r.ok()) << m;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument) << m;
+    EXPECT_FALSE(MontModulus::make(BigUint(m)).ok()) << m;
+  }
+}
+
+TEST(BigUint, PowModWidthLimit) {
+  // 2048 bits (the largest DH group) is the widest modulus accepted.
+  const BigUint widest = BigUint(1).shift_left(MontModulus::kMaxBits).sub(
+      BigUint(1));
+  EXPECT_TRUE(BigUint(3).pow_mod(BigUint(5), widest).ok());
+  const BigUint too_wide = widest.add(BigUint(2));  // 2^2048 + 1
+  auto r = BigUint(3).pow_mod(BigUint(5), too_wide);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+// Reference exponentiation: square-and-multiply over mul_mod (multiply,
+// then Knuth division), independent of the Montgomery kernel.
+BigUint reference_pow(const BigUint& base, const BigUint& exponent,
+                      const BigUint& m) {
+  BigUint result = *BigUint(1).mod(m);
+  const BigUint b = *base.mod(m);
+  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+    result = *result.mul_mod(result, m);
+    if (exponent.bit(i)) result = *result.mul_mod(b, m);
+  }
+  return result;
+}
+
+BigUint random_big(util::Rng& rng, std::size_t bytes) {
+  util::Bytes raw(bytes);
+  for (auto& byte : raw) byte = static_cast<std::uint8_t>(rng.next_u64());
+  return BigUint::from_bytes(util::ByteSpan(raw.data(), raw.size()));
+}
+
+// An odd modulus of `limbs` 64-bit limbs, in one of three shapes: the top
+// bit set, a short top limb, or the top limbs all ones.
+BigUint odd_modulus(util::Rng& rng, std::size_t limbs, int shape) {
+  util::Bytes raw(limbs * 8);
+  for (auto& byte : raw) byte = static_cast<std::uint8_t>(rng.next_u64());
+  switch (shape) {
+    case 0: raw.front() |= 0x80; break;
+    case 1: raw.front() = 1; break;
+    default:
+      std::fill_n(raw.begin(), std::min<std::size_t>(raw.size(), 16), 0xFF);
+  }
+  raw.back() |= 1;
+  return BigUint::from_bytes(util::ByteSpan(raw.data(), raw.size()));
+}
+
+// Property: pow_mod and MontModulus::pow2 agree with the reference over odd
+// moduli of every width from 1 to 32 limbs, including the edge operands.
+class MontgomeryCrossCheck : public ::testing::TestWithParam<int> {};
+
+TEST_P(MontgomeryCrossCheck, MatchesMulModReference) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+  for (std::size_t limbs = 1; limbs <= MontModulus::kMaxLimbs; ++limbs) {
+    for (int shape = 0; shape < 3; ++shape) {
+      const BigUint m = odd_modulus(rng, limbs, shape);
+      auto mont = MontModulus::make(m);
+      ASSERT_TRUE(mont.ok()) << m.to_hex();
+      // Full-width exponents where the reference is cheap, else <= 64 bits.
+      const std::size_t exp_bytes =
+          limbs <= 4 ? limbs * 8 : 1 + rng.next_below(8);
+      const BigUint e = random_big(rng, exp_bytes);
+
+      const BigUint below = random_big(rng, limbs * 8);  // usually < m
+      const BigUint above = m.add(random_big(rng, limbs * 8 + 8));  // >= m
+      const BigUint m_minus_1 = m.sub(BigUint(1));
+      const BigUint zero;
+      for (const BigUint* base : {&below, &above, &m_minus_1, &m, &zero}) {
+        EXPECT_EQ(*base->pow_mod(e, m), reference_pow(*base, e, m))
+            << "m=" << m.to_hex() << " base=" << base->to_hex()
+            << " e=" << e.to_hex();
+      }
+      EXPECT_EQ(*below.pow_mod(BigUint(), m), *BigUint(1).mod(m));
+      // The g = 2 doubling ladder.
+      EXPECT_EQ(mont->pow2(e), reference_pow(BigUint(2), e, m))
+          << "m=" << m.to_hex() << " e=" << e.to_hex();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MontgomeryCrossCheck, ::testing::Range(1, 3));
+
+TEST(BigUint, PowModSmallOddModuli) {
+  // m = 1 maps everything to 0; m = 3 is the smallest modulus the base 2
+  // doubling can overflow; with m = 9 and base 3, or m = 25 and base 5, a
+  // Montgomery square's unreduced result equals m exactly and must still be
+  // reduced to 0; the all-ones 64-bit limb is the widest one-limb case.
+  for (std::uint64_t m : {1ULL, 3ULL, 9ULL, 25ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    const BigUint mod(m);
+    auto mont = MontModulus::make(mod);
+    ASSERT_TRUE(mont.ok());
+    for (std::uint64_t e : {0ULL, 1ULL, 2ULL, 63ULL, 64ULL, 1000003ULL}) {
+      EXPECT_EQ(mont->pow2(BigUint(e)),
+                reference_pow(BigUint(2), BigUint(e), mod))
+          << m << " " << e;
+      for (std::uint64_t base : {3ULL, 5ULL}) {
+        EXPECT_EQ(*BigUint(base).pow_mod(BigUint(e), mod),
+                  reference_pow(BigUint(base), BigUint(e), mod))
+            << m << " " << base << " " << e;
+      }
+    }
+  }
 }
 
 TEST(BigUint, PowModModulusOne) {

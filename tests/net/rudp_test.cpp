@@ -324,6 +324,7 @@ TEST_F(RudpFaultTest, FecRepairsDropWithoutRetransmit) {
 
   RudpConfig config;
   config.retransmit_interval = 5s;  // the timer must never be the fix
+  config.adaptive_rto = false;  // else the first RTT sample drops the RTO
   config.max_attempts = 3;
   config.repair = LossRepair::kXorFec;
   config.fec_group = 4;
@@ -362,6 +363,7 @@ TEST_F(RudpFaultTest, FastRetransmitOnSackGapEvidence) {
 
   RudpConfig config;
   config.retransmit_interval = 5s;  // only the gap detector can recover
+  config.adaptive_rto = false;  // else the first RTT sample drops the RTO
   config.max_attempts = 5;
   config.fast_retx_dupacks = 2;
   config.window_packets = 8;

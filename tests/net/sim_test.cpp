@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/clock.hpp"
 
@@ -203,16 +205,28 @@ TEST(SimNet, SeverStreamsClosesEstablished) {
   auto b = net.add_node("b");
   auto listener = b->listen(1);
   ASSERT_TRUE(listener.ok());
-  auto client = a->connect(Endpoint{"b", 1}, 1s);
-  auto server = (*listener)->accept(1s);
-  ASSERT_TRUE(client.ok() && server.ok());
+
+  // Live streams interleaved with many that are opened and dropped again,
+  // so the fabric's stream list fills with dead entries and is pruned
+  // several times before the sever.
+  std::vector<std::pair<StreamPtr, StreamPtr>> live;
+  for (int i = 0; i < 300; ++i) {
+    auto client = a->connect(Endpoint{"b", 1}, 1s);
+    auto server = (*listener)->accept(1s);
+    ASSERT_TRUE(client.ok() && server.ok());
+    if (i % 37 == 0) live.emplace_back(std::move(*client), std::move(*server));
+  }
+  ASSERT_EQ(live.size(), 9u);
 
   net.sever_streams("a", "b");
-  std::uint8_t buf[1];
-  auto n = (*server)->read_some(buf, 1);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 0u);  // closed
-  EXPECT_FALSE((*client)->write_all(util::ByteSpan(buf, 1)).ok());
+  EXPECT_EQ(net.counters().streams_severed, 2 * live.size());
+  for (auto& [client, server] : live) {
+    std::uint8_t buf[1];
+    auto n = server->read_some(buf, 1);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, 0u);  // closed
+    EXPECT_FALSE(client->write_all(util::ByteSpan(buf, 1)).ok());
+  }
 }
 
 TEST(SimNet, SameNodeLoopback) {
