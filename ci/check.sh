@@ -5,6 +5,8 @@
 #      + explicit `ctest -L net`       (rudp sliding-window/SACK/FEC suite)
 #      + explicit `ctest -L crypto`    (Montgomery limb arithmetic, DH known
 #                                       answers, HMAC, SHA-256)
+#      + explicit `ctest -L codec`     (golden record bytes, hostile
+#                                       container counts)
 #      + explicit `ctest -L swarm`     (batch scheduler, drain sweeps,
 #                                       caching location tier)
 #      + fixed-seed chaos_runner smoke (25 replayable fault schedules)
@@ -24,6 +26,7 @@
 #   2. Sanitize build + full ctest    (ASan + UBSan)
 #      + explicit `ctest -L net`
 #      + explicit `ctest -L crypto`
+#      + explicit `ctest -L codec`
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep)
 #      + `ctest -L faults`            (fault-injection suite under TSan)
 #      + `ctest -L recovery`          (crash-restart recovery under TSan)
@@ -73,6 +76,9 @@ ctest --test-dir build-debug -L net --output-on-failure -j "$JOBS"
 
 note "crypto suite (ctest -L crypto, Debug)"
 ctest --test-dir build-debug -L crypto --output-on-failure -j "$JOBS"
+
+note "record codec suite (ctest -L codec, Debug)"
+ctest --test-dir build-debug -L codec --output-on-failure -j "$JOBS"
 
 note "swarm migration suite (ctest -L swarm, Debug)"
 ctest --test-dir build-debug -L swarm --output-on-failure -j "$JOBS"
@@ -210,6 +216,8 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ctest --test-dir build-sanitize -L net --output-on-failure -j "$JOBS"
   note "crypto suite (ctest -L crypto, ASan+UBSan)"
   ctest --test-dir build-sanitize -L crypto --output-on-failure -j "$JOBS"
+  note "record codec suite (ctest -L codec, ASan+UBSan)"
+  ctest --test-dir build-sanitize -L codec --output-on-failure -j "$JOBS"
 else
   skip "--skip-sanitize"
 fi

@@ -196,10 +196,7 @@ util::Status SocketController::send_ctrl(const net::Endpoint& dest,
   }
   msg.node = self_node();
   msg.epoch = epoch_.load();
-  const util::Bytes payload = msg.mac_payload();
-  msg.mac = compute_mac(session_key,
-                        util::ByteSpan(payload.data(), payload.size()));
-  const util::Bytes encoded = msg.encode();
+  const util::Bytes encoded = msg.seal(session_key);
   if (duplicate) {
     // Two independent rudp sends: the receiver sees two distinct reliable
     // messages with identical protocol content (stressing its duplicate
@@ -236,10 +233,7 @@ util::Status SocketController::reply_handoff(net::Stream& stream,
                                              util::ByteSpan session_key) {
   msg.node = self_node();
   msg.epoch = epoch_.load();
-  const util::Bytes payload = msg.mac_payload();
-  msg.mac = compute_mac(session_key,
-                        util::ByteSpan(payload.data(), payload.size()));
-  const util::Bytes encoded = msg.encode();
+  const util::Bytes encoded = msg.seal(session_key);
   return net::write_frame(stream,
                           util::ByteSpan(encoded.data(), encoded.size()));
 }
@@ -793,11 +787,7 @@ void SocketController::handle_attach(std::shared_ptr<net::Stream> stream,
     fail("verifier mismatch");
     return;
   }
-  const util::Bytes payload = msg.mac_payload();
-  if (!verify_mac(util::ByteSpan(session->session_key().data(),
-                                 session->session_key().size()),
-                  util::ByteSpan(payload.data(), payload.size()),
-                  util::ByteSpan(msg.mac.data(), msg.mac.size()))) {
+  if (!msg.verify(session->session_key())) {
     mac_rejections_.add(1);
     fail("MAC verification failed");
     return;

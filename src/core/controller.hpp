@@ -85,11 +85,11 @@ struct ControllerConfig {
   /// policy (refreshed by the repair loop, evicted on expiry).
   LeaseConfig redirector_leases{};
   /// Resume attempts before giving up. 1 = the paper's single-shot resume;
-  /// higher values retry with capped exponential backoff, absorbing a peer
+  /// higher values retry with a backoff that doubles from
+  /// resume_retry_backoff up to resume_retry_cap, absorbing a peer
   /// controller that is restarting from its journal.
   int resume_max_attempts = 1;
   util::Duration resume_retry_backoff{std::chrono::milliseconds(100)};
-  double resume_retry_multiplier = 2.0;
   util::Duration resume_retry_cap{std::chrono::seconds(2)};
   /// When a suspend handshake dies mid-flight (no SUS response) but the
   /// data stream is still healthy, roll back to ESTABLISHED instead of the
@@ -109,8 +109,6 @@ struct ControllerConfig {
   util::Duration connect_timeout{std::chrono::seconds(5)};
   util::Duration resume_timeout{std::chrono::seconds(10)};
   util::Duration drain_timeout{std::chrono::seconds(5)};
-  /// How long a parked suspend waits for the peer's migration to finish.
-  util::Duration park_timeout{std::chrono::seconds(30)};
   /// Default application send/recv blocking bound.
   util::Duration io_timeout{std::chrono::seconds(30)};
   ReactorConfig reactor{};

@@ -15,16 +15,12 @@ namespace {
 
 constexpr util::Duration kRetrySleep = std::chrono::milliseconds(20);
 constexpr util::Duration kStatePollSlice = std::chrono::milliseconds(50);
+// Growth factor of the resume retry backoff.
+constexpr double kResumeRetryMultiplier = 2.0;
+// How long a parked suspend waits for the peer's migration to finish.
+constexpr util::Duration kParkTimeout = std::chrono::seconds(30);
 
 std::int64_t now_us() { return util::RealClock::instance().now_us(); }
-
-bool verify_session_mac(Session& session, const CtrlMsg& msg) {
-  const util::Bytes payload = msg.mac_payload();
-  return verify_mac(util::ByteSpan(session.session_key().data(),
-                                   session.session_key().size()),
-                    util::ByteSpan(payload.data(), payload.size()),
-                    util::ByteSpan(msg.mac.data(), msg.mac.size()));
-}
 
 }  // namespace
 
@@ -200,7 +196,7 @@ util::Status SocketController::active_suspend(const SessionPtr& session) {
   session->update_flags([](Session::Flags& f) {
     f.local_suspend_parked = true;
   });
-  const bool released = session->park_event().wait_for(config_.park_timeout);
+  const bool released = session->park_event().wait_for(kParkTimeout);
   session->park_event().reset();
   session->update_flags([](Session::Flags& f) {
     f.local_suspend_parked = false;
@@ -231,7 +227,7 @@ void SocketController::handle_sus(CtrlMsg msg) {
     (void)send_ctrl(msg.node.control, reply, {});
     return;
   }
-  if (!verify_session_mac(*session, msg)) {
+  if (!msg.verify(session->session_key())) {
     mac_rejections_.add(1);
     reply.type = CtrlType::kReject;
     reply.reason = "MAC verification failed";
@@ -401,7 +397,7 @@ void SocketController::finish_passive_suspend(const SessionPtr& session,
 void SocketController::handle_sus_response(CtrlMsg msg) {
   SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
   if (session == nullptr) return;
-  if (!verify_session_mac(*session, msg)) {
+  if (!msg.verify(session->session_key())) {
     mac_rejections_.add(1);
     return;
   }
@@ -414,7 +410,7 @@ void SocketController::handle_sus_response(CtrlMsg msg) {
 void SocketController::handle_sus_res(CtrlMsg msg) {
   SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
   if (session == nullptr) return;
-  if (!verify_session_mac(*session, msg)) {
+  if (!msg.verify(session->session_key())) {
     mac_rejections_.add(1);
     return;
   }
@@ -437,7 +433,7 @@ void SocketController::handle_sus_res(CtrlMsg msg) {
 void SocketController::handle_simple_ack(CtrlMsg msg) {
   SessionPtr session = find_session_from(msg.conn_id, msg.client_agent);
   if (session == nullptr) return;
-  if (!verify_session_mac(*session, msg)) {
+  if (!msg.verify(session->session_key())) {
     mac_rejections_.add(1);
     return;
   }
@@ -483,7 +479,7 @@ util::Status SocketController::do_resume(const SessionPtr& session) {
         config_.resume_retry_cap,
         util::Duration(static_cast<std::int64_t>(
             static_cast<double>(backoff.count()) *
-            config_.resume_retry_multiplier)));
+            kResumeRetryMultiplier)));
   }
 }
 
@@ -705,11 +701,7 @@ void SocketController::handle_resume_request(
     fail("verifier mismatch");
     return;
   }
-  const util::Bytes payload = msg.mac_payload();
-  if (!verify_mac(util::ByteSpan(session->session_key().data(),
-                                 session->session_key().size()),
-                  util::ByteSpan(payload.data(), payload.size()),
-                  util::ByteSpan(msg.mac.data(), msg.mac.size()))) {
+  if (!msg.verify(session->session_key())) {
     mac_rejections_.add(1);
     fail("MAC verification failed");
     return;
@@ -888,7 +880,7 @@ void SocketController::handle_cls(CtrlMsg msg) {
     (void)send_ctrl(msg.node.control, ack, {});
     return;
   }
-  if (!verify_session_mac(*session, msg)) {
+  if (!msg.verify(session->session_key())) {
     mac_rejections_.add(1);
     ack.type = CtrlType::kReject;
     ack.reason = "MAC verification failed";
@@ -942,7 +934,7 @@ util::Status SocketController::prepare_migration(const agent::AgentId& id) {
 
 util::Status SocketController::suspend_for_migration(
     const SessionPtr& session, const agent::AgentId& id) {
-  const std::int64_t deadline = now_us() + config_.park_timeout.count();
+  const std::int64_t deadline = now_us() + kParkTimeout.count();
   for (;;) {
     const ConnState st = session->state();
     switch (st) {
@@ -983,7 +975,7 @@ util::Status SocketController::suspend_for_migration(
           f2.local_suspend_parked = true;
         });
         const bool released =
-            session->park_event().wait_for(config_.park_timeout);
+            session->park_event().wait_for(kParkTimeout);
         session->park_event().reset();
         session->update_flags([](Session::Flags& f2) {
           f2.local_suspend_parked = false;

@@ -24,6 +24,7 @@
 #include "core/state.hpp"
 #include "net/transport.hpp"
 #include "obs/recorder.hpp"
+#include "util/serial.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -283,7 +284,17 @@ class Session {
   struct BufferedFrame {
     std::uint64_t seq;
     util::Bytes body;
+
+    void persist(util::Archive& ar) {
+      ar.field(seq);
+      ar.field(body);
+    }
   };
+
+  /// The session blob after its identity header: one field list for
+  /// export_state (writing) and import_state (reading into a fresh,
+  /// unpublished session). Takes each group's lock itself.
+  void persist_state(util::Archive& ar);
 
   /// Read one complete frame from the socket into rx_raw_/buffer, honoring
   /// `deadline_us`. Returns true if a frame was appended.

@@ -6,41 +6,54 @@ namespace naplet::nsock {
 
 namespace {
 
-void write_node(util::BytesWriter& w, const agent::NodeInfo& node) {
-  w.str(node.server_name);
-  w.str(node.control.host);
-  w.u16(node.control.port);
-  w.str(node.redirector.host);
-  w.u16(node.redirector.port);
-  w.str(node.migration.host);
-  w.u16(node.migration.port);
+// The MAC decision for both tagged records lives here: the tag covers the
+// bytes of persist_covered(), and the wire form is those bytes plus the
+// tag. A writing archive only reads the fields it visits, so the const
+// record is safe to walk.
+template <typename Msg>
+util::Bytes covered_bytes(const Msg& msg) {
+  util::Archive ar;
+  const_cast<Msg&>(msg).persist_covered(ar);
+  return std::move(ar).take_bytes();
 }
 
-util::Status read_node(util::BytesReader& r, agent::NodeInfo& node) {
-  auto name = r.str();
-  if (!name.ok()) return name.status();
-  node.server_name = std::move(*name);
+template <typename Msg>
+util::Bytes seal_record(Msg& msg, util::ByteSpan session_key) {
+  util::Archive ar;
+  msg.persist_covered(ar);
+  msg.mac = compute_mac(session_key, ar.bytes());
+  ar.field(msg.mac);
+  return std::move(ar).take_bytes();
+}
 
-  auto read_endpoint = [&r](net::Endpoint& ep) -> util::Status {
-    auto host = r.str();
-    if (!host.ok()) return host.status();
-    auto port = r.u16();
-    if (!port.ok()) return port.status();
-    ep.host = std::move(*host);
-    ep.port = *port;
-    return util::OkStatus();
-  };
-  NAPLET_RETURN_IF_ERROR(read_endpoint(node.control));
-  NAPLET_RETURN_IF_ERROR(read_endpoint(node.redirector));
-  NAPLET_RETURN_IF_ERROR(read_endpoint(node.migration));
-  return util::OkStatus();
+template <typename Msg>
+bool verify_record(const Msg& msg, util::ByteSpan session_key) {
+  if (session_key.empty()) return true;  // security disabled
+  const util::Bytes payload = covered_bytes(msg);
+  return verify_mac(session_key, payload, msg.mac);
+}
+
+bool valid_type(CtrlType type) {
+  return type >= CtrlType::kConnect && type <= CtrlType::kHeartbeat;
+}
+
+bool valid_type(HandoffType type) {
+  return type >= HandoffType::kAttach && type <= HandoffType::kError;
+}
+
+template <typename Msg>
+util::StatusOr<Msg> decode_record(util::ByteSpan data, const char* what) {
+  Msg msg;
+  NAPLET_RETURN_IF_ERROR(util::Archive::decode(data, msg));
+  if (!valid_type(msg.type)) {
+    return util::ProtocolError(
+        std::string("bad ") + what + " type " +
+        std::to_string(static_cast<std::uint8_t>(msg.type)));
+  }
+  return msg;
 }
 
 }  // namespace
-
-void persist_node(util::Archive& ar, agent::NodeInfo& node) {
-  node.persist(ar);
-}
 
 std::string_view to_string(CtrlType type) noexcept {
   switch (type) {
@@ -72,235 +85,66 @@ std::string_view to_string(HandoffType type) noexcept {
   return "?";
 }
 
-util::Bytes CtrlMsg::mac_payload() const {
-  util::BytesWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(conn_id);
-  w.u64(epoch);
-  w.u64(trace_id);
-  w.u64(verifier);
-  w.u64(sent_seq);
-  w.u64(group_id);
-  w.str(client_agent);
-  w.str(server_agent);
-  write_node(w, node);
-  w.bytes(util::ByteSpan(dh_public.data(), dh_public.size()));
-  w.bytes(util::ByteSpan(token.data(), token.size()));
-  w.str(reason);
-  return std::move(w).take();
-}
+util::Bytes CtrlMsg::mac_payload() const { return covered_bytes(*this); }
 
-util::Bytes CtrlMsg::encode() const {
-  const util::Bytes payload = mac_payload();
-  util::BytesWriter w(payload.size() + mac.size() + 8);
-  w.raw(util::ByteSpan(payload.data(), payload.size()));
-  w.bytes(util::ByteSpan(mac.data(), mac.size()));
-  return std::move(w).take();
-}
+util::Bytes CtrlMsg::encode() const { return util::Archive::encode(*this); }
 
 util::StatusOr<CtrlMsg> CtrlMsg::decode(util::ByteSpan data) {
-  util::BytesReader r(data);
-  CtrlMsg msg;
-
-  auto type_byte = r.u8();
-  if (!type_byte.ok()) return type_byte.status();
-  if (*type_byte < static_cast<std::uint8_t>(CtrlType::kConnect) ||
-      *type_byte > static_cast<std::uint8_t>(CtrlType::kHeartbeat)) {
-    return util::ProtocolError("bad ctrl type " + std::to_string(*type_byte));
-  }
-  msg.type = static_cast<CtrlType>(*type_byte);
-
-  auto conn_id = r.u64();
-  if (!conn_id.ok()) return conn_id.status();
-  msg.conn_id = *conn_id;
-  auto epoch = r.u64();
-  if (!epoch.ok()) return epoch.status();
-  msg.epoch = *epoch;
-  auto trace_id = r.u64();
-  if (!trace_id.ok()) return trace_id.status();
-  msg.trace_id = *trace_id;
-  auto verifier = r.u64();
-  if (!verifier.ok()) return verifier.status();
-  msg.verifier = *verifier;
-  auto sent_seq = r.u64();
-  if (!sent_seq.ok()) return sent_seq.status();
-  msg.sent_seq = *sent_seq;
-  auto group_id = r.u64();
-  if (!group_id.ok()) return group_id.status();
-  msg.group_id = *group_id;
-
-  auto client_agent = r.str();
-  if (!client_agent.ok()) return client_agent.status();
-  msg.client_agent = std::move(*client_agent);
-  auto server_agent = r.str();
-  if (!server_agent.ok()) return server_agent.status();
-  msg.server_agent = std::move(*server_agent);
-
-  NAPLET_RETURN_IF_ERROR(read_node(r, msg.node));
-
-  auto dh_public = r.bytes();
-  if (!dh_public.ok()) return dh_public.status();
-  msg.dh_public = std::move(*dh_public);
-  auto token = r.bytes();
-  if (!token.ok()) return token.status();
-  msg.token = std::move(*token);
-  auto reason = r.str();
-  if (!reason.ok()) return reason.status();
-  msg.reason = std::move(*reason);
-
-  auto mac = r.bytes();
-  if (!mac.ok()) return mac.status();
-  msg.mac = std::move(*mac);
-
-  if (r.remaining() != 0) return util::ProtocolError("trailing ctrl bytes");
-  return msg;
+  return decode_record<CtrlMsg>(data, "ctrl");
 }
 
-util::Bytes HandoffMsg::mac_payload() const {
-  util::BytesWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(conn_id);
-  w.u64(epoch);
-  w.u64(trace_id);
-  w.u64(verifier);
-  w.u64(sent_seq);
-  w.u64(recv_seq);
-  w.str(agent);
-  write_node(w, node);
-  w.str(reason);
-  return std::move(w).take();
+util::Bytes CtrlMsg::seal(util::ByteSpan session_key) {
+  return seal_record(*this, session_key);
 }
 
-util::Bytes HandoffMsg::encode() const {
-  const util::Bytes payload = mac_payload();
-  util::BytesWriter w(payload.size() + mac.size() + 8);
-  w.raw(util::ByteSpan(payload.data(), payload.size()));
-  w.bytes(util::ByteSpan(mac.data(), mac.size()));
-  return std::move(w).take();
+bool CtrlMsg::verify(util::ByteSpan session_key) const {
+  return verify_record(*this, session_key);
 }
+
+util::Bytes HandoffMsg::mac_payload() const { return covered_bytes(*this); }
+
+util::Bytes HandoffMsg::encode() const { return util::Archive::encode(*this); }
 
 util::StatusOr<HandoffMsg> HandoffMsg::decode(util::ByteSpan data) {
-  util::BytesReader r(data);
-  HandoffMsg msg;
+  return decode_record<HandoffMsg>(data, "handoff");
+}
 
-  auto type_byte = r.u8();
-  if (!type_byte.ok()) return type_byte.status();
-  if (*type_byte < static_cast<std::uint8_t>(HandoffType::kAttach) ||
-      *type_byte > static_cast<std::uint8_t>(HandoffType::kError)) {
-    return util::ProtocolError("bad handoff type " +
-                               std::to_string(*type_byte));
-  }
-  msg.type = static_cast<HandoffType>(*type_byte);
+util::Bytes HandoffMsg::seal(util::ByteSpan session_key) {
+  return seal_record(*this, session_key);
+}
 
-  auto conn_id = r.u64();
-  if (!conn_id.ok()) return conn_id.status();
-  msg.conn_id = *conn_id;
-  auto epoch = r.u64();
-  if (!epoch.ok()) return epoch.status();
-  msg.epoch = *epoch;
-  auto trace_id = r.u64();
-  if (!trace_id.ok()) return trace_id.status();
-  msg.trace_id = *trace_id;
-  auto verifier = r.u64();
-  if (!verifier.ok()) return verifier.status();
-  msg.verifier = *verifier;
-  auto sent_seq = r.u64();
-  if (!sent_seq.ok()) return sent_seq.status();
-  msg.sent_seq = *sent_seq;
-
-  auto recv_seq = r.u64();
-  if (!recv_seq.ok()) return recv_seq.status();
-  msg.recv_seq = *recv_seq;
-
-  auto sender = r.str();
-  if (!sender.ok()) return sender.status();
-  msg.agent = std::move(*sender);
-
-  NAPLET_RETURN_IF_ERROR(read_node(r, msg.node));
-
-  auto reason = r.str();
-  if (!reason.ok()) return reason.status();
-  msg.reason = std::move(*reason);
-
-  auto mac = r.bytes();
-  if (!mac.ok()) return mac.status();
-  msg.mac = std::move(*mac);
-
-  if (r.remaining() != 0) return util::ProtocolError("trailing handoff bytes");
-  return msg;
+bool HandoffMsg::verify(util::ByteSpan session_key) const {
+  return verify_record(*this, session_key);
 }
 
 util::Bytes BatchHandoffMsg::encode() const {
-  util::BytesWriter w;
-  w.u8(kBatchHandoffMagic);
-  w.u64(trace_id);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const HandoffMsg& entry : entries) {
-    const util::Bytes encoded = entry.encode();
-    w.bytes(util::ByteSpan(encoded.data(), encoded.size()));
-  }
-  return std::move(w).take();
+  return util::Archive::encode(*this);
 }
 
 util::StatusOr<BatchHandoffMsg> BatchHandoffMsg::decode(util::ByteSpan data) {
-  util::BytesReader r(data);
-  auto magic = r.u8();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kBatchHandoffMagic) {
-    return util::ProtocolError("bad batch handoff magic " +
-                               std::to_string(*magic));
+  if (data.empty() || data[0] != kBatchHandoffMagic) {
+    return util::ProtocolError("bad batch handoff magic");
   }
   BatchHandoffMsg msg;
-  auto trace_id = r.u64();
-  if (!trace_id.ok()) return trace_id.status();
-  msg.trace_id = *trace_id;
-  auto count = r.u32();
-  if (!count.ok()) return count.status();
-  msg.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto encoded = r.bytes();
-    if (!encoded.ok()) return encoded.status();
-    auto entry = HandoffMsg::decode(
-        util::ByteSpan(encoded->data(), encoded->size()));
-    if (!entry.ok()) return entry.status();
-    msg.entries.push_back(std::move(*entry));
-  }
-  if (r.remaining() != 0) {
-    return util::ProtocolError("trailing batch handoff bytes");
+  NAPLET_RETURN_IF_ERROR(util::Archive::decode(data, msg));
+  for (const HandoffMsg& entry : msg.entries) {
+    if (!valid_type(entry.type)) {
+      return util::ProtocolError(
+          "bad batch entry type " +
+          std::to_string(static_cast<std::uint8_t>(entry.type)));
+    }
   }
   return msg;
 }
 
 util::Bytes BatchHandoffReply::encode() const {
-  util::BytesWriter w;
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const Disposition& d : entries) {
-    w.boolean(d.ok);
-    w.str(d.reason);
-  }
-  return std::move(w).take();
+  return util::Archive::encode(*this);
 }
 
 util::StatusOr<BatchHandoffReply> BatchHandoffReply::decode(
     util::ByteSpan data) {
-  util::BytesReader r(data);
-  auto count = r.u32();
-  if (!count.ok()) return count.status();
   BatchHandoffReply reply;
-  reply.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    Disposition d;
-    auto ok = r.boolean();
-    if (!ok.ok()) return ok.status();
-    d.ok = *ok;
-    auto reason = r.str();
-    if (!reason.ok()) return reason.status();
-    d.reason = std::move(*reason);
-    reply.entries.push_back(std::move(d));
-  }
-  if (r.remaining() != 0) {
-    return util::ProtocolError("trailing batch reply bytes");
-  }
+  NAPLET_RETURN_IF_ERROR(util::Archive::decode(data, reply));
   return reply;
 }
 

@@ -13,6 +13,11 @@
 // connection hijack by an eavesdropper (§3.3). With security disabled the
 // tag is empty and verification is skipped (the Table-1 "w/o security"
 // baseline).
+//
+// Each record's layout is its persist() field list (util::Archive). A
+// tagged record splits it in two: persist_covered() lists the fields the
+// MAC covers, and the tag follows them. seal() and verify() are the only
+// places that decide what the tag covers.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 #include "agent/agent_id.hpp"
 #include "agent/location.hpp"
 #include "util/bytes.hpp"
+#include "util/serial.hpp"
 #include "util/status.hpp"
 
 namespace naplet::nsock {
@@ -68,10 +74,38 @@ struct CtrlMsg {
   util::Bytes dh_public;           // CONNECT / CONNECT_ACK
   util::Bytes token;               // CONNECT: client's AuthToken encoding
   std::string reason;              // REJECT / CONNECT_REJECT
-  util::Bytes mac;                 // HMAC tag (see mac_payload)
+  util::Bytes mac;                 // HMAC tag (see seal)
+
+  /// The fields the MAC covers, in wire order.
+  void persist_covered(util::Archive& ar) {
+    ar.field(type);
+    ar.field(conn_id);
+    ar.field(epoch);
+    ar.field(trace_id);
+    ar.field(verifier);
+    ar.field(sent_seq);
+    ar.field(group_id);
+    ar.field(client_agent);
+    ar.field(server_agent);
+    ar.field(node);
+    ar.field(dh_public);
+    ar.field(token);
+    ar.field(reason);
+  }
+  void persist(util::Archive& ar) {
+    persist_covered(ar);
+    ar.field(mac);
+  }
 
   [[nodiscard]] util::Bytes encode() const;
+  /// Rejects a type outside CtrlType after the read.
   static util::StatusOr<CtrlMsg> decode(util::ByteSpan data);
+
+  /// Set `mac` to the tag under `session_key` (empty key -> empty tag) and
+  /// return the encoding, serializing the message once.
+  util::Bytes seal(util::ByteSpan session_key);
+  /// Check `mac` under `session_key`; an empty key accepts any tag.
+  [[nodiscard]] bool verify(util::ByteSpan session_key) const;
 
   /// Bytes covered by the MAC (everything except the MAC itself).
   [[nodiscard]] util::Bytes mac_payload() const;
@@ -107,8 +141,32 @@ struct HandoffMsg {
   std::string reason;           // kError
   util::Bytes mac;
 
+  /// The fields the MAC covers, in wire order.
+  void persist_covered(util::Archive& ar) {
+    ar.field(type);
+    ar.field(conn_id);
+    ar.field(epoch);
+    ar.field(trace_id);
+    ar.field(verifier);
+    ar.field(sent_seq);
+    ar.field(recv_seq);
+    ar.field(agent);
+    ar.field(node);
+    ar.field(reason);
+  }
+  void persist(util::Archive& ar) {
+    persist_covered(ar);
+    ar.field(mac);
+  }
+
   [[nodiscard]] util::Bytes encode() const;
+  /// Rejects a type outside HandoffType (the batch magic among them) after
+  /// the read.
   static util::StatusOr<HandoffMsg> decode(util::ByteSpan data);
+
+  /// As CtrlMsg::seal / CtrlMsg::verify.
+  util::Bytes seal(util::ByteSpan session_key);
+  [[nodiscard]] bool verify(util::ByteSpan session_key) const;
 
   [[nodiscard]] util::Bytes mac_payload() const;
 };
@@ -129,7 +187,16 @@ struct BatchHandoffMsg {
   std::uint64_t trace_id = 0;  ///< the batch's migration trace id
   std::vector<HandoffMsg> entries;
 
+  /// Magic, trace id, then each entry as a length-prefixed HandoffMsg.
+  void persist(util::Archive& ar) {
+    std::uint8_t magic = kBatchHandoffMagic;
+    ar.field(magic);
+    ar.field(trace_id);
+    ar.sequence(entries, [&ar](HandoffMsg& entry) { ar.nested(entry); });
+  }
+
   [[nodiscard]] util::Bytes encode() const;
+  /// Checks the magic before the read and every entry's type after it.
   static util::StatusOr<BatchHandoffMsg> decode(util::ByteSpan data);
 };
 
@@ -138,8 +205,15 @@ struct BatchHandoffReply {
   struct Disposition {
     bool ok = false;
     std::string reason;  ///< empty when ok
+
+    void persist(util::Archive& ar) {
+      ar.field(ok);
+      ar.field(reason);
+    }
   };
   std::vector<Disposition> entries;
+
+  void persist(util::Archive& ar) { ar.field(entries); }
 
   [[nodiscard]] util::Bytes encode() const;
   static util::StatusOr<BatchHandoffReply> decode(util::ByteSpan data);
@@ -162,7 +236,5 @@ struct DataFrame {
   [[nodiscard]] util::Bytes encode() const;
   static util::StatusOr<DataFrame> decode(util::ByteSpan data);
 };
-
-void persist_node(util::Archive& ar, agent::NodeInfo& node);
 
 }  // namespace naplet::nsock

@@ -29,13 +29,16 @@ constexpr int kMaxFecGroup = 64;  // receiver membership mask is a u64
 // of a (theoretical) lost wakeup without busy-waiting.
 constexpr auto kPollSlice = std::chrono::milliseconds(200);
 
+// Per-destination in-flight byte budget, beside RudpConfig::window_packets.
+constexpr std::size_t kWindowBytes = 1 << 20;
+// Floor of the adaptive RTO.
+constexpr util::Duration kMinRto = std::chrono::milliseconds(2);
+
 RudpConfig sanitize(RudpConfig config) {
   config.max_attempts = std::max(config.max_attempts, 1);
   config.window_packets = std::max(config.window_packets, 1);
-  config.window_bytes = std::max<std::size_t>(config.window_bytes, 1);
   config.fec_group = std::clamp(config.fec_group, 1, kMaxFecGroup);
   config.fast_retx_dupacks = std::max(config.fast_retx_dupacks, 0);
-  if (config.min_rto.count() < 0) config.min_rto = util::Duration{0};
   if (config.fec_flush.count() <= 0) {
     config.fec_flush = std::chrono::milliseconds(1);
   }
@@ -162,7 +165,7 @@ util::Duration ReliableChannel::interval_for(TxPeer& peer, int attempt) {
     // is the slow path for repeated loss of the same packet, not the
     // first-retransmit latency.
     const double rto = peer.srtt_us + std::max(4.0 * peer.rttvar_us, 1000.0);
-    base = std::clamp(rto, static_cast<double>(config_.min_rto.count()), cap);
+    base = std::clamp(rto, static_cast<double>(kMinRto.count()), cap);
   }
   double interval = base;
   for (int i = 0; i < attempt && interval < cap; ++i) {
@@ -240,11 +243,11 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     TxPeer& peer = peer_for(dest);
 
     // Window admission: block while the per-destination window is full.
-    // A payload larger than window_bytes is still admitted alone.
+    // A payload larger than kWindowBytes is still admitted alone.
     while (!closed_.load() &&
            (peer.unacked_packets >= config_.window_packets ||
             (peer.unacked_packets > 0 &&
-             peer.unacked_bytes + payload.size() > config_.window_bytes))) {
+             peer.unacked_bytes + payload.size() > kWindowBytes))) {
       if (bounded && steady_clock::now() >= hard_deadline) {
         return util::Timeout("send window to " + dest.to_string() +
                              " full within caller budget");

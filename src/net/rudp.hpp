@@ -1,8 +1,9 @@
 // Reliable delivery over UDP for the NapletSocket control channel
 // (paper §3.5), rebuilt as a pipelined sliding-window transport:
 //
-//  - a windowed sender (window_packets / window_bytes) so concurrent
-//    send() calls pipeline instead of serialising on one ACK round-trip;
+//  - a windowed sender (window_packets, plus a 1 MiB byte budget) so
+//    concurrent send() calls pipeline instead of serialising on one ACK
+//    round-trip;
 //  - a cumulative-ACK + SACK-range receiver with an in-order reorder
 //    buffer feeding recv();
 //  - RTT estimation (SRTT/RTTVAR, Karn's rule) driving the retransmit
@@ -63,18 +64,16 @@ struct RudpConfig {
   std::uint64_t jitter_seed = 0;
 
   // --- sliding window ---
-  /// Max unacknowledged packets in flight per destination.
+  /// Max unacknowledged packets in flight per destination (a fixed 1 MiB
+  /// byte budget applies too; a single larger payload is still admitted
+  /// when the window is empty).
   int window_packets = 32;
-  /// Max unacknowledged payload bytes in flight per destination. A single
-  /// payload larger than this is still admitted when the window is empty.
-  std::size_t window_bytes = 1 << 20;
 
   // --- RTT-adaptive retransmit timer ---
-  /// When true, RTO = clamp(SRTT + 4*RTTVAR, min_rto, cap) once samples
+  /// When true, RTO = clamp(SRTT + 4*RTTVAR, 2 ms, cap) once samples
   /// exist (Karn's rule: retransmitted packets never produce samples);
   /// backoff then multiplies from that RTO instead of the fixed interval.
   bool adaptive_rto = true;
-  util::Duration min_rto{std::chrono::milliseconds(2)};
 
   /// SACK/cumulative-ACK evidence threshold for fast retransmit (each ACK
   /// covering a serially-later packet is one unit); 0 disables.

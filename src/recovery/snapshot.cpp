@@ -23,12 +23,7 @@ util::Status Snapshot::write(const std::string& path,
   util::BytesWriter w;
   w.u32(kSnapshotMagic);
   w.u32(kSnapshotVersion);
-  w.u64(data.epoch);
-  w.u32(static_cast<std::uint32_t>(data.sessions.size()));
-  for (const auto& [conn_id, blob] : data.sessions) {
-    w.u64(conn_id);
-    w.bytes(blob);
-  }
+  w.raw(util::Archive::encode(data));
   w.u32(crc32(w.data()));
 
   const std::string tmp = path + ".tmp";
@@ -88,31 +83,15 @@ util::StatusOr<SnapshotData> Snapshot::read(const std::string& path) {
   util::BytesReader r(covered);
   const auto magic = r.u32();
   const auto version = r.u32();
-  const auto epoch = r.u64();
-  const auto count = r.u32();
   if (!magic.ok() || *magic != kSnapshotMagic) {
     return util::ProtocolError("bad snapshot magic");
   }
   if (!version.ok() || *version != kSnapshotVersion) {
     return util::ProtocolError("unsupported snapshot version");
   }
-  if (!epoch.ok() || !count.ok()) {
-    return util::ProtocolError("snapshot header truncated");
-  }
-
   SnapshotData data;
-  data.epoch = *epoch;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto conn_id = r.u64();
-    auto blob = r.bytes();
-    if (!conn_id.ok() || !blob.ok()) {
-      return util::ProtocolError("snapshot entry truncated");
-    }
-    data.sessions[*conn_id] = std::move(*blob);
-  }
-  if (r.remaining() != 0) {
-    return util::ProtocolError("trailing snapshot bytes");
-  }
+  NAPLET_RETURN_IF_ERROR(
+      util::Archive::decode(covered.subspan(r.position()), data));
   return data;
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "util/bytes.hpp"
+#include "util/serial.hpp"
 #include "util/status.hpp"
 
 namespace naplet::recovery {
@@ -18,6 +19,12 @@ namespace naplet::recovery {
 struct SnapshotData {
   std::uint64_t epoch = 0;
   std::map<std::uint64_t, util::Bytes> sessions;
+
+  /// The body between the version and the CRC.
+  void persist(util::Archive& ar) {
+    ar.field(epoch);
+    ar.field(sessions);
+  }
 };
 
 class Snapshot {

@@ -4,12 +4,14 @@ namespace naplet::util {
 
 namespace {
 // Reads via a StatusOr-returning accessor, latching errors into `status`.
+// Input that ends early is a malformed record: kProtocolError, whatever
+// the reader called it.
 template <typename T, typename Fn>
 void read_into(T& out, Fn&& accessor, Status& status) {
   if (!status.ok()) return;
   auto r = accessor();
   if (!r.ok()) {
-    status = r.status();
+    status = ProtocolError(r.status().message());
     return;
   }
   out = std::move(*r);
@@ -23,9 +25,13 @@ void Archive::fail(std::string msg) {
 void Archive::field(bool& v) {
   if (is_writing()) {
     writer_->boolean(v);
-  } else {
-    read_into(v, [&] { return reader_->boolean(); }, status_);
+    return;
   }
+  // Only 0 and 1 are written, so any other byte is corruption, not "true".
+  std::uint8_t byte = 0;
+  field(byte);
+  if (ok() && byte > 1) fail("bad bool byte " + std::to_string(byte));
+  v = byte != 0;
 }
 
 void Archive::field(std::uint8_t& v) {
@@ -92,7 +98,24 @@ void Archive::field(Bytes& v) {
   }
 }
 
-void Archive::field_u32_raw(std::uint32_t& v) { field(v); }
+bool Archive::field_count(std::uint32_t& n) {
+  field(n);
+  if (is_writing()) return true;
+  if (!ok()) return false;
+  if (n > reader_->remaining()) {
+    fail("container count " + std::to_string(n) + " exceeds the " +
+         std::to_string(reader_->remaining()) + " bytes left");
+    return false;
+  }
+  return true;
+}
+
+Status Archive::finish() const {
+  if (ok() && reader_ && reader_->remaining() != 0) {
+    return ProtocolError("trailing bytes after decode");
+  }
+  return status_;
+}
 
 Bytes Archive::take_bytes() && {
   return std::move(owned_writer_).take();

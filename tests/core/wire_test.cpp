@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/session.hpp"
+#include "recovery/journal.hpp"
 #include "util/rng.hpp"
 
 namespace naplet::nsock {
@@ -150,6 +154,33 @@ TEST(HandoffMsg, RoundTrip) {
   EXPECT_EQ(decoded->mac, msg.mac);
 }
 
+TEST(Mac, SealTagsTheCoveredBytesAndVerifyChecksThem) {
+  const util::Bytes key(32, 0x5A);
+  CtrlMsg ctrl;
+  ctrl.type = CtrlType::kSus;
+  ctrl.conn_id = 3;
+  ctrl.client_agent = "mover";
+  HandoffMsg handoff;
+  handoff.type = HandoffType::kResume;
+  handoff.conn_id = 3;
+  handoff.node = sample_node();
+
+  auto check = [&key](auto& msg) {
+    const util::Bytes wire = msg.seal(key);
+    EXPECT_EQ(msg.mac, compute_mac(key, msg.mac_payload()));
+    EXPECT_EQ(wire, msg.encode());
+    EXPECT_TRUE(msg.verify(key));
+    msg.conn_id ^= 1;  // any covered field
+    EXPECT_FALSE(msg.verify(key));
+    EXPECT_TRUE(msg.verify({}));  // no security: any tag passes
+    const util::Bytes untagged = msg.seal({});
+    EXPECT_TRUE(msg.mac.empty());
+    EXPECT_EQ(untagged, msg.encode());
+  };
+  check(ctrl);
+  check(handoff);
+}
+
 TEST(HandoffMsg, AgentFieldIsMacCovered) {
   HandoffMsg msg;
   msg.type = HandoffType::kResume;
@@ -159,18 +190,82 @@ TEST(HandoffMsg, AgentFieldIsMacCovered) {
   EXPECT_NE(msg.mac_payload(), before);
 }
 
+// The persist()-based records beyond CtrlMsg, each as a clean encoding
+// plus a decode-then-re-encode function (empty on rejection).
+struct RecordCodec {
+  const char* name;
+  util::Bytes clean;
+  std::function<std::optional<util::Bytes>(util::ByteSpan)> reencode;
+};
+
+std::vector<RecordCodec> record_codecs() {
+  std::vector<RecordCodec> codecs;
+
+  BatchHandoffMsg batch;
+  batch.trace_id = 3;
+  HandoffMsg entry;
+  entry.type = HandoffType::kResume;
+  entry.conn_id = 8;
+  entry.agent = "mover";
+  entry.node = sample_node();
+  entry.mac = {1, 2};
+  batch.entries = {entry, entry};
+  codecs.push_back({"batch", batch.encode(),
+                    [](util::ByteSpan in) -> std::optional<util::Bytes> {
+                      auto d = BatchHandoffMsg::decode(in);
+                      if (!d.ok()) return std::nullopt;
+                      return d->encode();
+                    }});
+
+  // replay_low above the last buffered seq, so the import fixup that
+  // raises it can never hide a flipped byte.
+  Session session(4, 5, true, agent::AgentId("a"), agent::AgentId("b"));
+  session.set_session_key({9, 9, 9});
+  session.set_peer_node(sample_node());
+  session.enable_history(4096);
+  session.update_flags([](Session::Flags& f) {
+    f.remote_suspended = true;
+    f.peer_declared_seq = 6;
+  });
+  session.set_trace_id(77);
+  (void)session.admit_peer_epoch(2);
+  codecs.push_back({"session", session.export_state(),
+                    [](util::ByteSpan in) -> std::optional<util::Bytes> {
+                      auto d = Session::import_state(in);
+                      if (!d.ok()) return std::nullopt;
+                      return (*d)->export_state();
+                    }});
+
+  recovery::GroupManifest manifest;
+  manifest.members.push_back({11, {1, 2, 3}});
+  manifest.members.push_back({12, {4}});
+  codecs.push_back({"manifest", manifest.encode(),
+                    [](util::ByteSpan in) -> std::optional<util::Bytes> {
+                      auto d = recovery::GroupManifest::decode(in);
+                      if (!d.ok()) return std::nullopt;
+                      return d->encode();
+                    }});
+  return codecs;
+}
+
 // Property sweep: random byte strings must never crash the decoders and
 // must be rejected or round-trip cleanly.
 class DecoderFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DecoderFuzz, NoCrashOnGarbage) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 1337);
+  const std::vector<RecordCodec> records = record_codecs();
   for (int iter = 0; iter < 200; ++iter) {
     util::Bytes junk(rng.next_below(120));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_u64());
     (void)CtrlMsg::decode(util::ByteSpan(junk.data(), junk.size()));
     (void)HandoffMsg::decode(util::ByteSpan(junk.data(), junk.size()));
     (void)DataFrame::decode(util::ByteSpan(junk.data(), junk.size()));
+    // Past the batch magic too, so the batch decoder reads the junk.
+    if (!junk.empty()) junk[0] = kBatchHandoffMagic;
+    for (const RecordCodec& record : records) {
+      (void)record.reencode(util::ByteSpan(junk.data(), junk.size()));
+    }
   }
 }
 
@@ -206,6 +301,19 @@ TEST_P(DecoderFuzz, BitFlipsNeverRoundTripSilently) {
                          decoded->dh_public != msg.dh_public ||
                          decoded->token != msg.token;
     EXPECT_TRUE(differs) << "byte " << pos;
+  }
+  // The same for every other persist()-based record: an accepted
+  // mutation must show up in the re-encoding.
+  for (const RecordCodec& record : record_codecs()) {
+    for (int iter = 0; iter < 100; ++iter) {
+      util::Bytes mutated = record.clean;
+      const std::size_t pos = rng.next_below(mutated.size());
+      mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      auto reencoded =
+          record.reencode(util::ByteSpan(mutated.data(), mutated.size()));
+      if (!reencoded) continue;  // rejected: fine
+      EXPECT_NE(*reencoded, record.clean) << record.name << " byte " << pos;
+    }
   }
 }
 

@@ -97,6 +97,26 @@ TEST(Archive, HugeContainerCountRejected) {
   EXPECT_FALSE(ar.ok());
 }
 
+TEST(Archive, BoolBytesOtherThanZeroOrOneRejected) {
+  const Bytes encoded = {0x02};
+  bool v = false;
+  auto status = Archive::decode(ByteSpan(encoded.data(), encoded.size()), v);
+  EXPECT_EQ(status.code(), StatusCode::kProtocolError);
+}
+
+TEST(Archive, DuplicateMapKeyRejected) {
+  BytesWriter w;
+  w.u32(2);
+  for (int i = 0; i < 2; ++i) {
+    w.str("k");
+    w.u64(static_cast<std::uint64_t>(i));
+  }
+  const Bytes encoded = std::move(w).take();
+  std::map<std::string, std::uint64_t> m;
+  auto status = Archive::decode(ByteSpan(encoded.data(), encoded.size()), m);
+  EXPECT_EQ(status.code(), StatusCode::kProtocolError);
+}
+
 TEST(Archive, ModeFlags) {
   Archive writing;
   EXPECT_TRUE(writing.is_writing());
