@@ -7,6 +7,8 @@
 #                                       answers, HMAC, SHA-256)
 #      + explicit `ctest -L codec`     (golden record bytes, hostile
 #                                       container counts)
+#      + explicit `ctest -L server`    (leader/followers accept pool behind
+#                                       the redirector and directory)
 #      + explicit `ctest -L swarm`     (batch scheduler, drain sweeps,
 #                                       caching location tier)
 #      + fixed-seed chaos_runner smoke (25 replayable fault schedules)
@@ -27,6 +29,7 @@
 #      + explicit `ctest -L net`
 #      + explicit `ctest -L crypto`
 #      + explicit `ctest -L codec`
+#      + explicit `ctest -L server`
 #   3. Tsan build + `ctest -L tsan`   (pinned light concurrency sweep)
 #      + `ctest -L faults`            (fault-injection suite under TSan)
 #      + `ctest -L recovery`          (crash-restart recovery under TSan)
@@ -79,6 +82,9 @@ ctest --test-dir build-debug -L crypto --output-on-failure -j "$JOBS"
 
 note "record codec suite (ctest -L codec, Debug)"
 ctest --test-dir build-debug -L codec --output-on-failure -j "$JOBS"
+
+note "accept pool suite (ctest -L server, Debug)"
+ctest --test-dir build-debug -L server --output-on-failure -j "$JOBS"
 
 note "swarm migration suite (ctest -L swarm, Debug)"
 ctest --test-dir build-debug -L swarm --output-on-failure -j "$JOBS"
@@ -218,6 +224,8 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ctest --test-dir build-sanitize -L crypto --output-on-failure -j "$JOBS"
   note "record codec suite (ctest -L codec, ASan+UBSan)"
   ctest --test-dir build-sanitize -L codec --output-on-failure -j "$JOBS"
+  note "accept pool suite (ctest -L server, ASan+UBSan)"
+  ctest --test-dir build-sanitize -L server --output-on-failure -j "$JOBS"
 else
   skip "--skip-sanitize"
 fi

@@ -465,7 +465,9 @@ void AgentServer::migration_accept_loop() {
 
 void AgentServer::handle_incoming_migration(net::StreamPtr stream) {
   if (!stream) return;
-  auto frame = net::read_frame(*stream);
+  // Bounded: this runs inline on the acceptor, so a silent sender must
+  // not stall every other inbound migration (and stop()) behind it.
+  auto frame = net::read_frame_for(*stream, net::kFirstFrameTimeout);
   if (!frame.ok()) return;
 
   util::BytesReader r(util::ByteSpan(frame->data(), frame->size()));

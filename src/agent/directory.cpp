@@ -75,69 +75,38 @@ DirectoryServer::DirectoryServer(net::NetworkPtr network,
       lookups_total_(registry_.counter("directory_lookups")),
       mutations_total_(registry_.counter("directory_mutations")),
       inflight_(registry_.gauge("directory_inflight")),
-      op_latency_(registry_.histogram("directory_op_us")) {}
+      op_latency_(registry_.histogram("directory_op_us")),
+      server_([this](std::shared_ptr<net::Stream> stream,
+                     util::StatusOr<util::Bytes> request) {
+        serve(stream, request);
+      }) {}
 
 DirectoryServer::~DirectoryServer() { stop(); }
 
 util::Status DirectoryServer::start() {
   auto listener = network_->listen(port_);
   if (!listener.ok()) return listener.status();
-  listener_ = std::move(*listener);
-  acceptor_ = std::thread([this] { accept_loop(); });
+  server_.start(std::move(*listener));
   return util::OkStatus();
 }
 
-void DirectoryServer::stop() {
-  if (stopped_.exchange(true)) return;
-  if (listener_) listener_->close();
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard lock(workers_mu_);
-    workers = std::exchange(workers_, {});
-  }
-  for (auto& t : workers) {
-    if (t.joinable()) t.join();
-  }
-}
+void DirectoryServer::stop() { server_.stop(); }
 
-net::Endpoint DirectoryServer::endpoint() const {
-  return listener_ ? listener_->local_endpoint() : net::Endpoint{};
-}
+net::Endpoint DirectoryServer::endpoint() const { return server_.endpoint(); }
 
-void DirectoryServer::accept_loop() {
-  while (!stopped_.load()) {
-    auto accepted = listener_->accept(std::chrono::milliseconds(200));
-    if (!accepted.ok()) {
-      if (accepted.status().code() == util::StatusCode::kTimeout) continue;
-      break;
-    }
-    std::shared_ptr<net::Stream> stream(std::move(*accepted));
-    std::thread worker([this, stream] { serve(stream); });
-    std::lock_guard lock(workers_mu_);
-    workers_.push_back(std::move(worker));
-    // Bound the backlog of joinable workers.
-    if (workers_.size() > 64) {
-      for (auto& t : workers_) {
-        if (t.joinable() && t.get_id() != std::this_thread::get_id()) t.join();
-      }
-      workers_.clear();
-    }
-  }
-}
-
-void DirectoryServer::serve(std::shared_ptr<net::Stream> stream) {
+void DirectoryServer::serve(const std::shared_ptr<net::Stream>& stream,
+                            const util::StatusOr<util::Bytes>& request) {
   inflight_.add(1);
   util::Stopwatch watch(util::RealClock::instance());
-  serve_request(stream);
+  serve_request(stream, request);
   op_latency_.record(static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, watch.elapsed_us())));
   inflight_.add(-1);
 }
 
 void DirectoryServer::serve_request(
-    const std::shared_ptr<net::Stream>& stream) {
-  auto request = net::read_frame(*stream);
+    const std::shared_ptr<net::Stream>& stream,
+    const util::StatusOr<util::Bytes>& request) {
   if (!request.ok()) {
     stream->close();
     return;

@@ -15,10 +15,9 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "agent/location.hpp"
+#include "net/stream_server.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 
@@ -50,9 +49,11 @@ class DirectoryServer {
   }
 
  private:
-  void accept_loop();
-  void serve(std::shared_ptr<net::Stream> stream);
-  void serve_request(const std::shared_ptr<net::Stream>& stream);
+  // Both run on the server worker that accepted `stream`.
+  void serve(const std::shared_ptr<net::Stream>& stream,
+             const util::StatusOr<util::Bytes>& request);
+  void serve_request(const std::shared_ptr<net::Stream>& stream,
+                     const util::StatusOr<util::Bytes>& request);
 
   net::NetworkPtr network_;
   LocationService& backing_;
@@ -63,12 +64,9 @@ class DirectoryServer {
   obs::Counter& mutations_total_;
   obs::Gauge& inflight_;
   obs::Histogram& op_latency_;
-  net::ListenerPtr listener_;
-  std::thread acceptor_;
-  std::mutex workers_mu_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> requests_served_{0};
+  // Last member: its workers call serve() and touch everything above.
+  net::StreamServer server_;
 };
 
 /// LocationService client backed by a DirectoryServer. Drop-in for the

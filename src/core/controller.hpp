@@ -316,7 +316,8 @@ class SocketController final : public agent::ConnectionMigrator {
   /// The §3.2 sweep step for one connection during prepare_migration.
   util::Status suspend_for_migration(const SessionPtr& session,
                                      const agent::AgentId& id);
-  /// Active suspend from ESTABLISHED (shared by app suspend + migration).
+  /// Active suspend, once the caller has advanced ESTABLISHED on
+  /// app:suspend (shared by app suspend + migration).
   util::Status active_suspend(const SessionPtr& session);
   /// Complete a passive suspension (drain + close) after agreeing to SUS.
   void finish_passive_suspend(const SessionPtr& session,

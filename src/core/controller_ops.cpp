@@ -48,7 +48,13 @@ std::optional<Session::CtrlResponse> SocketController::wait_response(
 util::Status SocketController::suspend(const SessionPtr& session) {
   if (session == nullptr) return util::InvalidArgument("null session");
   const ConnState st = session->state();
-  if (st == ConnState::kEstablished) return active_suspend(session);
+  if (st == ConnState::kEstablished) {
+    if (!session->advance(ConnEvent::kAppSuspend).ok()) {
+      // The peer's SUS landed since the read above; nothing was sent.
+      return suspend(session);
+    }
+    return active_suspend(session);
+  }
   if (st == ConnState::kSuspended || st == ConnState::kSuspendWait) {
     return suspend_for_migration(session, session->local_agent());
   }
@@ -65,7 +71,6 @@ util::Status SocketController::suspend(const SessionPtr& session) {
 }
 
 util::Status SocketController::active_suspend(const SessionPtr& session) {
-  NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kAppSuspend));
   // Mint this migration's trace id (| 1 so it can never be the "untraced"
   // zero); every span and protocol message of this round carries it.
   session->set_trace_id(crypto::random_u64() | 1);
@@ -484,7 +489,19 @@ util::Status SocketController::do_resume(const SessionPtr& session) {
 }
 
 util::Status SocketController::do_resume_once(const SessionPtr& session) {
-  const ConnState st = session->state();
+  ConnState st = session->state();
+  if (st == ConnState::kResAcked) {
+    // Resume glare: the peer's RESUME is mid-attach on our redirector and
+    // will establish this connection for us. Wait for it to finish.
+    auto settled = session->wait_state(
+        [](ConnState s) { return s != ConnState::kResAcked; },
+        config_.resume_timeout);
+    if (!settled) {
+      return util::Timeout("peer resume not completed for conn " +
+                           std::to_string(session->conn_id()));
+    }
+    st = *settled;
+  }
   if (st == ConnState::kEstablished) return util::OkStatus();
   if (st == ConnState::kResumeWait) {
     // Parked resume: the peer owes us the reconnect (paper Fig. 4(b)) —
@@ -510,7 +527,10 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
         "cannot resume from state " + std::string(to_string(st)));
   }
 
-  NAPLET_RETURN_IF_ERROR(session->advance(ConnEvent::kAppResume));
+  if (!session->advance(ConnEvent::kAppResume).ok()) {
+    // The peer's RESUME landed since the read above; nothing was sent.
+    return do_resume_once(session);
+  }
   const std::int64_t deadline = now_us() + config_.resume_timeout.count();
 
   // Escalating retry pacing: the common first failure is the peer still
@@ -621,8 +641,12 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
              "mover");
         if (auto adv = session->advance(ConnEvent::kRecvResumeOk);
             !adv.ok()) {
-          // Glare tail: the peer's own attempt already established us; its
-          // OK to our attempt means both sides now hold THIS stream.
+          // Glare tail: the peer's own attempt already established us (or
+          // is finishing its attach here, RES_ACKED); its OK to our attempt
+          // means both sides now hold THIS stream.
+          (void)session->wait_state(
+              [](ConnState s) { return s != ConnState::kResAcked; },
+              util::us(std::max<std::int64_t>(1, deadline - now_us())));
           if (session->state() != ConnState::kEstablished) return adv;
         }
         session->update_flags([](Session::Flags& f) {
@@ -639,8 +663,12 @@ util::Status SocketController::do_resume_once(const SessionPtr& session) {
         data_socket->close();
         if (auto adv = session->advance(ConnEvent::kRecvResumeWait);
             !adv.ok()) {
-          // The peer's own RESUME may already have re-established us while
-          // this stale reply was in flight; that is success, not an error.
+          // The peer's own RESUME may already have re-established us (or
+          // be finishing its attach here, RES_ACKED) while this stale reply
+          // was in flight; that is success, not an error.
+          (void)session->wait_state(
+              [](ConnState s) { return s != ConnState::kResAcked; },
+              util::us(std::max<std::int64_t>(1, deadline - now_us())));
           if (session->state() == ConnState::kEstablished) {
             return util::OkStatus();
           }
@@ -939,6 +967,9 @@ util::Status SocketController::suspend_for_migration(
     const ConnState st = session->state();
     switch (st) {
       case ConnState::kEstablished:
+        if (!session->advance(ConnEvent::kAppSuspend).ok()) {
+          continue;  // the peer's SUS landed since the read; re-read
+        }
         return active_suspend(session);
 
       case ConnState::kSuspended:

@@ -38,6 +38,7 @@ void SocketController::repair_loop() {
       for (const SessionPtr& session : sessions) {
         redirector_->refresh_lease(session->conn_id());
       }
+      redirector_->evict_expired_leases();
     }
     if (!fr.enabled) continue;
 

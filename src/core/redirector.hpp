@@ -5,17 +5,17 @@
 // handoff frame naming the connection. The redirector routes the accepted
 // socket to the controller, which hands it to the right NapletServerSocket
 // or suspended session — saving the name/port query round trip and the
-// per-agent port table the paper describes.
+// per-agent port table the paper describes. Each handoff runs on a pooled
+// net::StreamServer worker: the thread that accepted the stream.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "core/wire.hpp"
+#include "net/stream_server.hpp"
 #include "net/transport.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
@@ -25,7 +25,7 @@ namespace naplet::nsock {
 /// Crash-recovery extension: redirector entries become leases. The owning
 /// controller registers a lease per connection and refreshes it from its
 /// repair loop; entries whose lease expires (host crashed and never came
-/// back) are evicted by the accept-loop sweep, and a RESUME naming an
+/// back) are evicted by the repair loop's sweep, and a RESUME naming an
 /// expired/unknown lease is answered with kError instead of being routed
 /// into a dead controller.
 struct LeaseConfig {
@@ -69,7 +69,8 @@ class Redirector {
 
   [[nodiscard]] net::Endpoint endpoint() const;
 
-  /// Handoffs whose first frame was malformed (observability).
+  /// Handoffs whose first frame was malformed or did not arrive within
+  /// net::kFirstFrameTimeout (observability).
   [[nodiscard]] std::uint64_t bad_handoffs() const {
     return bad_handoffs_.load();
   }
@@ -91,7 +92,7 @@ class Redirector {
   /// leasing is disabled — the gate is opt-in).
   [[nodiscard]] bool lease_live(std::uint64_t conn_id) const;
   /// Drop every expired entry; returns how many were evicted. Called from
-  /// the accept-loop tick, public for tests.
+  /// the owning controller's repair loop, after it refreshed its leases.
   std::size_t evict_expired_leases();
 
   [[nodiscard]] std::size_t lease_count() const;
@@ -103,16 +104,16 @@ class Redirector {
   }
 
  private:
-  void accept_loop();
-  void reap_handlers(bool all);
-
+  /// Runs on the server worker that accepted `stream`.
+  void serve(std::shared_ptr<net::Stream> stream,
+             util::StatusOr<util::Bytes> frame);
   void serve_batch(const std::shared_ptr<net::Stream>& stream,
                    const BatchHandoffMsg& batch);
 
   net::Network& network_;
   std::uint16_t port_ NAPLET_NOT_GUARDED("set at construction, immutable");
   HandoffHandler handler_ NAPLET_NOT_GUARDED(
-      "set at construction, immutable while the acceptor runs");
+      "set at construction, immutable while workers run");
   BatchHandler batch_handler_ NAPLET_NOT_GUARDED(
       "written before start(), read-only by workers");
   LeaseConfig lease_config_ NAPLET_NOT_GUARDED(
@@ -120,13 +121,6 @@ class Redirector {
   std::string host_label_ NAPLET_NOT_GUARDED(
       "written before start(), read-only by workers");
 
-  net::ListenerPtr listener_ NAPLET_NOT_GUARDED(
-      "created in start() before the acceptor thread; Listener is "
-      "internally synchronized");
-  std::thread acceptor_;
-  util::Mutex handlers_mu_{util::LockRank::kRedirector, "redirector"};
-  std::vector<std::thread> handlers_ NAPLET_GUARDED_BY(handlers_mu_);
-  std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> bad_handoffs_{0};
   std::atomic<std::uint64_t> batch_exchanges_{0};
 
@@ -138,6 +132,10 @@ class Redirector {
       NAPLET_GUARDED_BY(leases_mu_);
   std::atomic<std::uint64_t> leases_expired_{0};
   std::atomic<std::uint64_t> handoffs_fenced_{0};
+
+  // Last member: its workers call serve() and touch everything above.
+  net::StreamServer server_ NAPLET_NOT_GUARDED(
+      "internally synchronized worker pool");
 };
 
 }  // namespace naplet::nsock

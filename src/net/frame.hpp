@@ -29,7 +29,19 @@ util::Status write_frame_vectored(Stream& stream,
                                   std::span<const util::ByteSpan> parts);
 
 /// Read one length-prefixed frame. Returns kUnavailable on clean EOF at a
-/// frame boundary (peer closed), kIoError on mid-frame EOF.
+/// frame boundary (peer closed), kIoError on mid-frame EOF. The payload
+/// buffer grows as bytes arrive, so a prefix alone allocates little.
 util::StatusOr<util::Bytes> read_frame(Stream& stream);
+
+/// read_frame that gives up with kTimeout once `timeout` has passed since
+/// the call, however the bytes trickle in.
+util::StatusOr<util::Bytes> read_frame_for(Stream& stream,
+                                           util::Duration timeout);
+
+/// How long a server waits for a freshly accepted stream's first frame.
+/// A well-behaved client writes it right after connect(), so it gets the
+/// same 1 s a resume allows for its redirector connect; a silent or
+/// trickling client loses its stream instead of holding a thread.
+inline constexpr util::Duration kFirstFrameTimeout = std::chrono::seconds(1);
 
 }  // namespace naplet::net

@@ -26,7 +26,7 @@ constexpr std::size_t kFecGroupCap = 256;
 constexpr int kMaxFecGroup = 64;  // receiver membership mask is a u64
 
 // Idle poll slice for waits that are also woken by notify: bounds the cost
-// of a (theoretical) lost wakeup without busy-waiting.
+// of a lost wakeup without busy-waiting.
 constexpr auto kPollSlice = std::chrono::milliseconds(200);
 
 // Per-destination in-flight byte budget, beside RudpConfig::window_packets.
@@ -291,6 +291,7 @@ util::Status ReliableChannel::send(const Endpoint& dest,
     packet.deadline = packet.first_send + interval_for(peer, 0);
     const util::Bytes& frame =
         peer.inflight.emplace(seq, std::move(packet)).first->second.wire;
+    deadline_added_ = true;
     peer.unacked_packets++;
     peer.unacked_bytes += payload.size();
     total_inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -458,6 +459,7 @@ std::optional<ReliableChannel::TimePoint> ReliableChannel::retx_pass() {
   {
     util::MutexLock lock(mu_);
     if (closed_.load()) return std::nullopt;
+    deadline_added_ = false;
     const auto now = steady_clock::now();
     for (auto& [dest, peer] : tx_) {
       if (config_.repair == LossRepair::kXorFec && peer.fec_count > 0) {
@@ -527,8 +529,9 @@ void ReliableChannel::timer_loop() {
     const auto next = retx_pass();
     util::MutexLock lock(mu_);
     if (closed_.load()) break;
-    // New deadlines fold into `next` inside the pass; the poll-slice cap
-    // bounds the cost of a (theoretical) lost timer_cv_ wakeup.
+    // A send between the pass and this lock notified nobody: its deadline
+    // is not in `next`, so pass again rather than sleep up to kPollSlice.
+    if (deadline_added_) continue;
     const auto cap = steady_clock::now() + kPollSlice;
     (void)timer_cv_.wait_until(mu_, next ? std::min(*next, cap) : cap);
   }

@@ -295,6 +295,9 @@ class ReliableChannel {
   util::CondVar acked_cv_;   // a send completed (ACK / failure / close)
   util::CondVar window_cv_;  // a window slot freed
   util::CondVar timer_cv_;   // timer wake (new deadline / close)
+  // A send added a deadline since the timer's last pass read them: the
+  // timer runs another pass instead of waiting on a stale `next`.
+  bool deadline_added_ NAPLET_GUARDED_BY(mu_) = false;
   std::map<Endpoint, TxPeer> tx_ NAPLET_GUARDED_BY(mu_);
   util::Rng jitter_rng_ NAPLET_GUARDED_BY(mu_);
 

@@ -53,7 +53,8 @@ enum class LockRank : int {
                          ///< is what makes the sharding statically safe)
   kAgentServer = 12,     ///< AgentServer::mu_
   kPostOffice = 14,   ///< PostOffice::mu_ (pushes into mailbox queues)
-  kRedirector = 16,   ///< Redirector::handlers_mu_
+  kStreamServer = 16, ///< net::StreamServer::mu_ (worker pool; closes
+                      ///< streams awaiting their first frame under it)
   kBus = 18,          ///< ServerBus::mu_
 
   // Session data path, in send/recv acquisition order (see DESIGN.md):

@@ -164,6 +164,21 @@ TEST_F(AgentServerTest, MigrationMovesStateAndIncrementsHops) {
   EXPECT_EQ(server_a_->migrations_in() + server_b_->migrations_in(), 3u);
 }
 
+TEST_F(AgentServerTest, SilentMigrationSenderDoesNotStallArrivals) {
+  // A client that connects to beta's migration port and never writes is
+  // dropped after net::kFirstFrameTimeout; the agent behind it lands.
+  auto mallory = net_.add_node("mallory");
+  auto silent = mallory->connect(server_b_->node_info().migration, 2s);
+  ASSERT_TRUE(silent.ok());
+  auto agent = std::make_unique<TouristAgent>();
+  agent->itinerary = {"beta"};
+  ASSERT_TRUE(server_a_->launch(std::move(agent), AgentId("queued")).ok());
+  const bool landed = wait_agent_gone(locations_, AgentId("queued"), 5s);
+  (*silent)->close();
+  EXPECT_TRUE(landed);
+  EXPECT_EQ(server_b_->migrations_in(), 1u);
+}
+
 TEST_F(AgentServerTest, MigrationToUnknownServerTerminatesGracefully) {
   auto agent = std::make_unique<TouristAgent>();
   agent->itinerary = {"gamma-does-not-exist"};

@@ -14,6 +14,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/redirector.hpp"
@@ -24,18 +25,27 @@
 #include "recovery/journal.hpp"
 #include "recovery/snapshot.hpp"
 #include "util/serial.hpp"
+#include "util/sync.hpp"
 
-// Largest single heap request made by the measuring thread. The global
-// operator new is replaced in this test binary only.
+// Largest single heap request made by the measuring thread, and (for the
+// live-server tests) by any thread. The global operator new is replaced in
+// this test binary only.
 namespace {
 thread_local bool g_measuring = false;
 thread_local std::size_t g_largest = 0;
+std::atomic<bool> g_measuring_all{false};
+std::atomic<std::size_t> g_largest_any{0};
 }  // namespace
 
 // Kept out of line so the compiler does not pair an inlined malloc with
 // a free it cannot see.
 [[gnu::noinline]] void* operator new(std::size_t n) {
   if (g_measuring && n > g_largest) g_largest = n;
+  if (g_measuring_all.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_any.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_any.compare_exchange_weak(seen, n)) {
+    }
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -209,6 +219,100 @@ TEST(HostileCount, LiveRedirectorCountsBadHandoffAndKeepsServing) {
   EXPECT_EQ(redirector.bad_handoffs(), 1u);
   EXPECT_EQ(handled.load(), 0);
   redirector.stop();
+}
+
+// A frame prefix that announces 64 MiB and then nothing: the reader must
+// not allocate what the peer merely claims.
+const util::Bytes kHostilePrefix = unhex("04000000");
+
+TEST(HostileCount, FramePrefixAllocatesOneChunk) {
+  net::SimNet world;
+  auto a = world.add_node("a");
+  auto b = world.add_node("b");
+  auto listener = b->listen(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = a->connect((*listener)->local_endpoint(), 2s);
+  ASSERT_TRUE(client.ok());
+  auto server = (*listener)->accept(2s);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*client)
+                  ->write_all(util::ByteSpan(kHostilePrefix.data(),
+                                             kHostilePrefix.size()))
+                  .ok());
+  (*client)->close();
+  const util::Status st = decode_measured(
+      kHostilePrefix, [&server](util::ByteSpan) {
+        return net::read_frame(**server).status();
+      });
+  EXPECT_FALSE(st.ok());
+}
+
+/// Runs `fn` on its own thread and reports whether it returned within
+/// `limit`. Runs `unblock` either way before joining, so a hang shows up as
+/// a failed expectation, not a stuck test.
+template <typename Fn, typename Unblock>
+bool returns_within(util::Duration limit, Fn&& fn, Unblock&& unblock) {
+  util::Event done;
+  std::thread t([&] {
+    fn();
+    done.set();
+  });
+  const bool in_time = done.wait_for(limit);
+  unblock();
+  t.join();
+  return in_time;
+}
+
+TEST(HostileCount, LiveRedirectorServesAndStopsPastSilentClients) {
+  net::SimNet world;
+  auto server_node = world.add_node("server");
+  auto client_node = world.add_node("client");
+  std::atomic<int> handled{0};
+  nsock::Redirector redirector(
+      *server_node, 0,
+      [&handled](std::shared_ptr<net::Stream> stream, nsock::HandoffMsg) {
+        handled.fetch_add(1);
+        stream->close();
+      });
+  ASSERT_TRUE(redirector.start().ok());
+
+  // One client sends only the 64 MiB prefix, one sends nothing.
+  g_largest_any = 0;
+  g_measuring_all = true;
+  auto prefix_only = client_node->connect(redirector.endpoint(), 2s);
+  ASSERT_TRUE(prefix_only.ok());
+  ASSERT_TRUE((*prefix_only)
+                  ->write_all(util::ByteSpan(kHostilePrefix.data(),
+                                             kHostilePrefix.size()))
+                  .ok());
+  auto silent = client_node->connect(redirector.endpoint(), 2s);
+  ASSERT_TRUE(silent.ok());
+  std::this_thread::sleep_for(100ms);
+  g_measuring_all = false;
+  EXPECT_LT(g_largest_any.load(), kSmallAllocation)
+      << "largest allocation " << g_largest_any.load();
+
+  // A well-formed handoff is still served while both are connected.
+  nsock::HandoffMsg attach;
+  attach.type = nsock::HandoffType::kAttach;
+  attach.conn_id = 42;
+  auto good = client_node->connect(redirector.endpoint(), 2s);
+  ASSERT_TRUE(good.ok());
+  const util::Bytes encoded = attach.encode();
+  ASSERT_TRUE(net::write_frame(**good, util::ByteSpan(encoded.data(),
+                                                     encoded.size()))
+                  .ok());
+  EXPECT_FALSE(net::read_frame(**good).ok());  // the handler closes it
+  EXPECT_EQ(handled.load(), 1);
+
+  // stop() must not wait for the bad clients to go away.
+  const bool stopped = returns_within(
+      std::chrono::seconds(3), [&redirector] { redirector.stop(); },
+      [&] {
+        (*prefix_only)->close();
+        (*silent)->close();
+      });
+  EXPECT_TRUE(stopped) << "Redirector::stop() waited for silent clients";
 }
 
 }  // namespace

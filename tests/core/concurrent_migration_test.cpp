@@ -189,6 +189,35 @@ TEST(ConcurrentMigration, ResumeGlareResolvesByPriority) {
   EXPECT_EQ(text(got->body), "glare resolved");
 }
 
+TEST(ConcurrentMigration, ResumeDuringPeerAttachWaitsForEstablished) {
+  // Resume glare, first mode: the peer's RESUME reached our redirector
+  // first and is mid-attach (RES_ACKED) when our own resume() starts. It
+  // must wait for that attach, not fail on the transient state.
+  SimRealm realm(2);
+  auto alice = realm.pseudo_agent("alice", 0);
+  auto bob = realm.pseudo_agent("bob", 1);
+  ConnPair conn = make_connection(realm, alice, 0, bob, 1);
+  ASSERT_TRUE(conn.client && conn.server);
+  ASSERT_TRUE(realm.ctrl(0).suspend(conn.client).ok());
+  ASSERT_TRUE(conn.server->wait_state(
+      [](ConnState s) { return s == ConnState::kSuspended; }, 2s));
+
+  // What handle_resume_request does on the peer's RESUME.
+  ASSERT_TRUE(conn.server->advance(ConnEvent::kRecvResume).ok());
+  ASSERT_EQ(conn.server->state(), ConnState::kResAcked);
+
+  auto resumed = std::async(std::launch::async,
+                            [&] { return realm.ctrl(1).resume(conn.server); });
+  EXPECT_EQ(resumed.wait_for(100ms), std::future_status::timeout)
+      << "resume() returned while the peer's attach was in flight";
+
+  // The attach completes.
+  ASSERT_TRUE(conn.server->advance(ConnEvent::kExecResumed).ok());
+  const util::Status st = resumed.get();
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(conn.server->state(), ConnState::kEstablished);
+}
+
 TEST(ConcurrentMigration, StressAlternatingAndSimultaneousHops) {
   // Repeated concurrent hops with live traffic: whatever interleaving the
   // scheduler produces (single / overlapped / non-overlapped), the
