@@ -49,7 +49,7 @@ util::Status SocketController::suspend(const SessionPtr& session) {
   if (session == nullptr) return util::InvalidArgument("null session");
   const ConnState st = session->state();
   if (st == ConnState::kEstablished) {
-    if (!session->advance(ConnEvent::kAppSuspend).ok()) {
+    if (!session->advance(ConnEvent::kAppSuspend, st).ok()) {
       // The peer's SUS landed since the read above; nothing was sent.
       return suspend(session);
     }
@@ -356,12 +356,13 @@ void SocketController::handle_sus(CtrlMsg msg) {
       // is suspending again instead (another migration round began). Its
       // suspension supersedes the parked resume: accept it — we are
       // already quiesced (no data socket) — and wake the parked waiter,
-      // whose resume completes as a passive suspension.
-      (void)session->advance(ConnEvent::kRecvSus);  // -> SUSPENDED
+      // whose resume completes as a passive suspension. The flag goes
+      // first: the waiter wakes on SUSPENDED and reads it at once.
       session->update_flags([&](Session::Flags& f) {
         f.remote_suspended = true;
         f.peer_declared_seq = msg.sent_seq;
       });
+      (void)session->advance(ConnEvent::kRecvSus);  // -> SUSPENDED
       reply.type = CtrlType::kSusAck;
       reply.sent_seq = session->sent_seq();
       (void)send_session_ctrl(msg.node.control, reply, *session);
@@ -967,7 +968,7 @@ util::Status SocketController::suspend_for_migration(
     const ConnState st = session->state();
     switch (st) {
       case ConnState::kEstablished:
-        if (!session->advance(ConnEvent::kAppSuspend).ok()) {
+        if (!session->advance(ConnEvent::kAppSuspend, st).ok()) {
           continue;  // the peer's SUS landed since the read; re-read
         }
         return active_suspend(session);
@@ -998,9 +999,12 @@ util::Status SocketController::suspend_for_migration(
           if (holds_local) return util::OkStatus();
         }
 
-        // Park (SUSPEND_WAIT) until the peer finishes migrating.
-        if (st == ConnState::kSuspended) {
-          (void)session->advance(ConnEvent::kAppSuspend);  // -> SUSPEND_WAIT
+        // Park (SUSPEND_WAIT) until the peer finishes migrating. If the
+        // peer's RESUME landed since the read, nobody would release the
+        // park: re-read the state instead.
+        if (st == ConnState::kSuspended &&
+            !session->advance(ConnEvent::kAppSuspend, st).ok()) {
+          continue;
         }
         session->update_flags([](Session::Flags& f2) {
           f2.local_suspend_parked = true;

@@ -63,10 +63,18 @@ void Session::set_peer_node(const agent::NodeInfo& node) {
   peer_node_ = node;
 }
 
-util::Status Session::advance(ConnEvent event) {
+util::Status Session::advance(ConnEvent event,
+                              std::optional<ConnState> from) {
   // Validate-and-swap under the cell's own lock via update().
   util::Status result = util::OkStatus();
   state_.update([&](ConnState& s) {
+    if (from && s != *from) {
+      result = util::FailedPrecondition(
+          "state moved: " + std::string(to_string(s)) + " on " +
+          std::string(to_string(event)) + " (conn " +
+          std::to_string(conn_id_) + ")");
+      return;
+    }
     auto next = transition(s, event);
     if (!next) {
       result = util::ProtocolError(

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -93,8 +94,12 @@ class Session {
   [[nodiscard]] ConnState state() const { return state_.get(); }
 
   /// Validate `event` against the transition table and apply it.
-  /// kProtocolError on an illegal transition (state unchanged).
-  util::Status advance(ConnEvent event);
+  /// kProtocolError on an illegal transition (state unchanged). With
+  /// `from`, the event applies only if the state is still `from`
+  /// (kFailedPrecondition otherwise): an event legal in two states, such
+  /// as app:suspend, must not take the arc of a state it did not read.
+  util::Status advance(ConnEvent event,
+                       std::optional<ConnState> from = std::nullopt);
 
   /// Wait until the state satisfies `pred`; nullopt on timeout.
   template <typename Pred>

@@ -62,9 +62,12 @@ struct PumpHarness {
 
   // Drain the tail after stopping the pump, then join.
   void finish(SimRealm& realm, std::uint64_t conn_id) {
-    // Let in-flight sends settle, then stop producing.
+    // Let in-flight sends settle, then stop producing. The sink may be
+    // inside a recv; join it before draining here, so one consumer checks
+    // the order.
     stop.store(true);
     pump.join();
+    sink.join();
     // Drain whatever was sent.
     const std::int64_t deadline =
         util::RealClock::instance().now_us() + 15'000'000;
@@ -80,7 +83,6 @@ struct PumpHarness {
       received.fetch_add(1);
     }
     (void)sink_stop;
-    sink.join();
   }
 };
 
